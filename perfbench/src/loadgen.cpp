@@ -63,8 +63,8 @@ void Generator::send_query(std::size_t conn, std::uint32_t frame,
   if (c.dead) {
     // The connection is gone: the frame is attempted and lost.
     r.send_ns = now_ns();
-    r.failed = static_cast<std::uint32_t>(in_.cfg->batch);
-    rec_.fails.add("disconnected", in_.cfg->batch);
+    r.failed = static_cast<std::uint32_t>(kBatch);
+    rec_.fails.add("disconnected", kBatch);
     rec_.frames.push_back(r);
     return;
   }
@@ -133,8 +133,8 @@ void Generator::fail_inflight(Conn& c) {
       rec_.fails.add("disconnected", r.ops);
     } else {
       FrameRecord& r = rec_.frames[index];
-      r.failed = static_cast<std::uint32_t>(in_.cfg->batch);
-      rec_.fails.add("disconnected", in_.cfg->batch);
+      r.failed = static_cast<std::uint32_t>(kBatch);
+      rec_.fails.add("disconnected", kBatch);
     }
   }
   c.inflight.clear();
@@ -192,26 +192,6 @@ void Generator::on_churn_answer(const std::vector<std::uint8_t>& payload,
       r.ops, kChurnIdBase + r.index, payload, rec_.fails));
 }
 
-void Generator::plan_edges(std::uint64_t begin, std::uint64_t end,
-                           std::vector<CpuTimes>* out) {
-  // One-second windows, the last stretched to the phase end — the same
-  // split main.cpp uses for the per-window figures.
-  const auto n = std::max<std::uint64_t>(1, (end - begin) / 1'000'000'000ULL);
-  edge_times_.clear();
-  for (std::uint64_t k = 0; k < n; ++k) {
-    edge_times_.push_back(begin + k * ((end - begin) / n));
-  }
-  edge_times_.push_back(end);
-  edge_out_ = out;
-  edge_next_ = 0;
-}
-
-void Generator::finish_edges() {
-  for (; edge_next_ < edge_times_.size(); ++edge_next_) {
-    edge_out_->push_back(read_cpu_times());
-  }
-}
-
 template <typename Done>
 void Generator::run(Done&& done, std::uint64_t deadline_ns) {
   std::vector<pollfd> pfds;
@@ -220,10 +200,6 @@ void Generator::run(Done&& done, std::uint64_t deadline_ns) {
   while (!done()) {
     std::uint64_t now = now_ns();
     if (now >= deadline_ns) break;
-    if (edge_next_ < edge_times_.size() && now >= edge_times_[edge_next_]) {
-      edge_out_->push_back(read_cpu_times());
-      ++edge_next_;
-    }
 
     // Sends that are due: open-loop frames round-robin over connections,
     // then churn chunks. A late loop sends every overdue frame at once,
@@ -296,14 +272,12 @@ void Generator::closed_loop(double warm_s, double measure_s) {
   rec_.closed_end =
       closed_warm_end_ + static_cast<std::uint64_t>(measure_s * 1e9);
   closed_on_ = true;
-  plan_edges(rec_.closed_begin, rec_.closed_end, &rec_.edges.closed);
   for (std::size_t ci = 0; ci < conns_.size(); ++ci) {
     send_query(ci, closed_next_frame_, Phase::kClosedWarm, 0);
     closed_next_frame_ = static_cast<std::uint32_t>(
         (closed_next_frame_ + 1) % in_.num_frames());
   }
   run([&] { return now_ns() >= rec_.closed_end; }, rec_.closed_end + 1);
-  finish_edges();
   closed_on_ = false;
   run([&] { return inflight_queries() == 0; }, now_ns() + kDrainNs);
   for (auto& c : conns_) {
@@ -321,10 +295,8 @@ void Generator::open_loop(double warm_s, double measure_s) {
   rec_.open_begin = open_warm_end_;
   rec_.open_end = open_warm_end_ + static_cast<std::uint64_t>(measure_s * 1e9);
   pacer_ = &pacer;
-  plan_edges(rec_.open_begin, rec_.open_end, &rec_.edges.open);
   run([&] { return pacer.done() && inflight_queries() == 0; },
       rec_.open_end + kDrainNs);
-  finish_edges();
   pacer_ = nullptr;
   for (auto& c : conns_) {
     if (!c->inflight.empty()) fail_inflight(*c);

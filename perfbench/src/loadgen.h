@@ -5,7 +5,7 @@
 //   closed loop  every connection keeps exactly one frame in flight, so the
 //                measured rate is what the daemon sustains without a
 //                backlog (qps);
-//   open loop    frames go out on a Poisson schedule fixed before timing
+//   open loop    frames go out on a fixed-rate schedule set before timing
 //                starts, whatever the daemon's state. Each frame's latency
 //                runs from its DUE time, so a stall on either side is
 //                charged to every frame it delayed; a late send is never
@@ -46,7 +46,6 @@ class Pacer {
 
   void start(std::uint64_t t0_ns) { t0_ = t0_ns; }
   bool done() const { return next_ >= offsets_.size(); }
-  std::size_t size() const { return offsets_.size(); }
   std::uint64_t due_ns(std::size_t k) const { return t0_ + offsets_[k]; }
   /// Requires !done().
   std::uint64_t next_due_ns() const { return due_ns(next_); }
@@ -84,17 +83,9 @@ struct ChurnRecord {
   std::uint32_t failed = 0;
 };
 
-/// Host CPU counters read at the edges of the measured one-second windows:
-/// closed[k] and closed[k + 1] bracket closed-loop window k, likewise open.
-struct WindowEdges {
-  std::vector<CpuTimes> closed;
-  std::vector<CpuTimes> open;
-};
-
 struct LoadRecord {
   std::vector<FrameRecord> frames;
   std::vector<ChurnRecord> churn;
-  WindowEdges edges;
   /// Decoded answers of sampled frames, keyed by FrameRecord index.
   std::map<std::size_t, std::vector<ron::ServedLocate>> sampled_locates;
   std::map<std::size_t, std::vector<ron::Dist>> sampled_estimates;
@@ -174,15 +165,6 @@ class Generator {
   // Open loop state.
   Pacer* pacer_ = nullptr;
   std::uint64_t open_warm_end_ = 0;
-
-  // Window edges still to read: times (now_ns domain) and their target.
-  std::vector<std::uint64_t> edge_times_;
-  std::vector<CpuTimes>* edge_out_ = nullptr;
-  std::size_t edge_next_ = 0;
-  void plan_edges(std::uint64_t begin, std::uint64_t end,
-                  std::vector<CpuTimes>* out);
-  /// Reads the edges a phase ended before reaching.
-  void finish_edges();
 };
 
 }  // namespace ronbench

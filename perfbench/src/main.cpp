@@ -6,8 +6,8 @@
 // Builds the workload's inputs from the seed, starts the daemon
 // `setup_repeats` times (once when tracing), drives it from one generator
 // thread through a closed-loop and an open-loop phase (with the churn stream
-// running beside both on churn workloads), checks every answer, then
-// rebuilds the serving state
+// running beside both on churn workloads, and the daemon's CPU kept out of
+// its idle halt), checks every answer, then rebuilds the serving state
 // in-process to compare a seeded sample of answers with the reference (and,
 // when tracing, to split the run by layer). The human-readable report and
 // the run's stamp go to stderr and to DIR/result.json; the last line of
@@ -99,7 +99,7 @@ struct Metric {
 
 /// Answered queries per second in each one-second window of the measured
 /// closed-loop phase, by answer time.
-std::vector<double> closed_windows(const LoadRecord& rec, std::size_t batch) {
+std::vector<double> closed_windows(const LoadRecord& rec) {
   const double span_ns = static_cast<double>(rec.closed_end - rec.closed_begin);
   const auto n = static_cast<std::size_t>(std::max(1.0, std::floor(span_ns * 1e-9)));
   std::vector<double> qps(n, 0.0);
@@ -110,7 +110,7 @@ std::vector<double> closed_windows(const LoadRecord& rec, std::size_t batch) {
     }
     const auto w = static_cast<std::size_t>(
         static_cast<double>(r.recv_ns - rec.closed_begin) / (span_ns / n));
-    qps[std::min(w, n - 1)] += static_cast<double>(batch - r.failed);
+    qps[std::min(w, n - 1)] += static_cast<double>(kBatch - r.failed);
   }
   for (double& q : qps) q /= span_ns / n * 1e-9;
   return qps;
@@ -131,31 +131,6 @@ std::vector<std::vector<double>> open_windows(const LoadRecord& rec) {
   return windows;
 }
 
-/// Host steal (%) in each of `n` windows, from the counters read at their
-/// edges.
-std::vector<double> window_steal(const std::vector<CpuTimes>& edges,
-                                 std::size_t n) {
-  RON_CHECK(edges.size() == n + 1, "got " << edges.size()
-                                          << " counter readings for " << n
-                                          << " windows");
-  std::vector<double> steal(n);
-  for (std::size_t k = 0; k < n; ++k) steal[k] = steal_pct(edges[k], edges[k + 1]);
-  return steal;
-}
-
-/// The quieter half of the windows (rounded up) by host steal, in window
-/// order; ties keep the earlier window.
-std::vector<std::size_t> quiet_half(const std::vector<double>& steal) {
-  std::vector<std::size_t> order(steal.size());
-  for (std::size_t k = 0; k < order.size(); ++k) order[k] = k;
-  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return steal[a] < steal[b];
-  });
-  order.resize((order.size() + 1) / 2);
-  std::sort(order.begin(), order.end());
-  return order;
-}
-
 std::string json_list(const std::vector<double>& v) {
   std::string out = "[";
   for (std::size_t i = 0; i < v.size(); ++i) {
@@ -165,7 +140,7 @@ std::string json_list(const std::vector<double>& v) {
 }
 
 std::string stamp_json(const Args& args, const WorkloadConfig& cfg,
-                       std::size_t query_conns) {
+                       std::size_t query_conns, const LoadPlacement& cpus) {
   const std::size_t conns = query_conns + (cfg.churn() ? 1 : 0);
   std::ostringstream os;
   os << "{\"commit\": " << json_string(args.commit)
@@ -173,6 +148,7 @@ std::string stamp_json(const Args& args, const WorkloadConfig& cfg,
      << ", \"compiler\": " << json_string(compiler_stamp())
      << ", \"build_type\": " << json_string(build_type_stamp())
      << ", \"workload\": " << json_string(cfg.name)
+     << ", \"gated\": " << (cfg.gated ? "true" : "false")
      << ", \"seed\": " << args.seed << ", \"seconds\": " << args.seconds
      << ", \"trace\": " << (args.trace ? 1 : 0)
      << ", \"daemon_flags\": \"";
@@ -182,9 +158,12 @@ std::string stamp_json(const Args& args, const WorkloadConfig& cfg,
   os << "\", \"daemon_engine_threads\": 1, \"daemon_poll_threads\": 1"
      << ", \"generator_threads\": 1, \"generator_connections\": "
      << conns << ", \"query_connections\": " << query_conns
+     << ", \"generator_cpu\": " << cpus.generator_cpu()
+     << ", \"daemon_cpu\": " << cpus.daemon_cpu()
+     << ", \"idle_spinner\": " << (cpus.spinning() ? "true" : "false")
      << ", \"open_loop_qps\": " << json_number(cfg.open_loop_qps)
      << ", \"churn_hz\": " << json_number(cfg.churn_hz)
-     << ", \"batch\": " << cfg.batch << "}";
+     << ", \"batch\": " << kBatch << "}";
   return os.str();
 }
 
@@ -232,7 +211,7 @@ int run(int argc, char** argv) {
     const std::vector<std::uint8_t> answer = first.recv_frame();
     setup_s.push_back(static_cast<double>(now_ns() - daemon->spawn_ns()) * 1e-9);
     setup_rss.push_back(daemon->peak_rss_mb());
-    attempted += cfg.batch;
+    attempted += kBatch;
     if (cfg.kind == QueryKind::kLocate) {
       checker.locate_frame(in.locate_frames[0], 1, answer, fails, nullptr);
     } else {
@@ -249,6 +228,11 @@ int run(int argc, char** argv) {
   }
 
   // --- load -----------------------------------------------------------------
+  // The daemon sleeps between open-loop frames, and waking a halted virtual
+  // CPU costs whatever the host's scheduler makes it cost: its CPU is kept
+  // awake for the load phases (util.h).
+  auto cpus = std::make_unique<LoadPlacement>(daemon->pid());
+  const std::string stamp = stamp_json(args, cfg, query_conns, *cpus);
   Generator gen(in, checker, port, query_conns, args.seed, kSampleEvery);
   std::cerr << "ronbench: closed loop " << phases.closed_s << " s\n";
   gen.closed_loop(phases.closed_warm_s, phases.closed_s);
@@ -256,6 +240,7 @@ int run(int argc, char** argv) {
             << cfg.open_loop_qps << " queries/s\n";
   gen.open_loop(phases.open_warm_s, phases.open_s);
   gen.finish();
+  cpus.reset();
   {
     ron::Client admin;
     admin.connect("127.0.0.1", port);
@@ -266,7 +251,7 @@ int run(int argc, char** argv) {
   daemon.reset();
   const LoadRecord& rec = gen.record();
   fails.merge(rec.fails);
-  attempted += rec.frames.size() * cfg.batch;
+  attempted += rec.frames.size() * kBatch;
   for (const ChurnRecord& c : rec.churn) attempted += c.ops;
 
   // --- reference rebuild and replay ----------------------------------------
@@ -297,29 +282,15 @@ int run(int argc, char** argv) {
   RON_CHECK(!cfg.churn() || !churn_ms.empty(),
             "no churn chunk was answered in the open-loop phase");
   const double churn_p50 = churn_ms.empty() ? 0.0 : median(churn_ms);
-  // qps, p50 and p90 come from the quieter half of the measured one-second
-  // windows by host steal: on a shared host a window in which this guest's
-  // CPUs were taken away measures the host, not the daemon.
-  const std::vector<double> qps_windows = closed_windows(rec, cfg.batch);
-  const std::vector<double> closed_steal =
-      window_steal(rec.edges.closed, qps_windows.size());
-  std::vector<double> qps_quiet;
-  for (std::size_t k : quiet_half(closed_steal)) {
-    qps_quiet.push_back(qps_windows[k]);
-  }
-  const std::vector<std::vector<double>> lat_windows = open_windows(rec);
-  const std::vector<double> open_steal =
-      window_steal(rec.edges.open, lat_windows.size());
-  std::vector<double> lat_quiet;
-  for (std::size_t k : quiet_half(open_steal)) {
-    lat_quiet.insert(lat_quiet.end(), lat_windows[k].begin(),
-                     lat_windows[k].end());
-  }
-  RON_CHECK(!lat_quiet.empty(), "the quieter open-loop windows are empty");
+  // qps, p50 and p90 are medians over the measured one-second windows, so a
+  // stretch in which the host took this guest's CPUs away moves them only
+  // when it covers most of the phase.
+  const std::vector<double> qps_windows = closed_windows(rec);
   std::vector<double> p50_windows, p90_windows;
-  for (const std::vector<double>& w : lat_windows) {
-    p50_windows.push_back(w.empty() ? 0.0 : quantile(w, 0.5));
-    p90_windows.push_back(w.empty() ? 0.0 : quantile(w, 0.9));
+  for (const std::vector<double>& w : open_windows(rec)) {
+    if (w.empty()) continue;
+    p50_windows.push_back(quantile(w, 0.5));
+    p90_windows.push_back(quantile(w, 0.9));
   }
   const double ok_ratio =
       1.0 - static_cast<double>(fails.total) / static_cast<double>(attempted);
@@ -327,9 +298,9 @@ int run(int argc, char** argv) {
   std::vector<Metric> e2e = {
       {"setup_s", median(setup_s), "s", setup_s.size()},
       {"setup_rss_mb", median(setup_rss), "MB", setup_rss.size()},
-      {"qps", median(qps_quiet), "queries/s", qps_quiet.size()},
-      {"p50_ms", quantile(lat_quiet, 0.5), "ms", lat_quiet.size()},
-      {"p90_ms", quantile(lat_quiet, 0.9), "ms", lat_quiet.size()},
+      {"qps", median(qps_windows), "queries/s", qps_windows.size()},
+      {"p50_ms", median(p50_windows), "ms", p50_windows.size()},
+      {"p90_ms", median(p90_windows), "ms", p90_windows.size()},
       {"ok_ratio", ok_ratio, "ratio", attempted},
   };
 
@@ -367,7 +338,7 @@ int run(int argc, char** argv) {
         {"served.encode_us", encode, "us", frames},
         {"oracle.batch_us", batch, "us", frames},
         {"served.wait_us", rtt - decode - batch - encode, "us", frames},
-        {"oracle.cache_hit_ratio", w.cache_hit_ratio, "ratio", frames * cfg.batch},
+        {"oracle.cache_hit_ratio", w.cache_hit_ratio, "ratio", frames * kBatch},
         {"labeling.estimate_us", spans.mean_us(SpanName::kEstimate), "us", w.estimates},
         {"labeling.candidates", per(static_cast<double>(w.candidates), w.estimates), "count", w.estimates},
         {"location.locate_us", spans.mean_us(SpanName::kLocate), "us", w.locates},
@@ -390,7 +361,6 @@ int run(int argc, char** argv) {
   }
 
   // --- report -----------------------------------------------------------------
-  const std::string stamp = stamp_json(args, cfg, query_conns);
   const bool correct = fails.total == 0;
   auto metrics_json = [](const std::vector<Metric>& ms, bool samples) {
     std::ostringstream os;
@@ -423,8 +393,7 @@ int run(int argc, char** argv) {
        << ", \"reference_compared\": " << ro.compared
        << ", \"reference_ambiguous\": " << ro.ambiguous
        << ", \"churn_p50_ms\": " << json_number(churn_p50)
-       << ", \"all_windows\": {\"qps\": " << json_number(median(qps_windows))
-       << ", \"p50_ms\": " << json_number(quantile(lat_ms, 0.5))
+       << ", \"pooled\": {\"p50_ms\": " << json_number(quantile(lat_ms, 0.5))
        << ", \"p90_ms\": " << json_number(quantile(lat_ms, 0.9)) << "}"
        << ", \"late_ms\": [" << json_number(quantile(late_ms, 0.5)) << ", "
        << json_number(quantile(late_ms, 0.9)) << ", "
@@ -432,10 +401,8 @@ int run(int argc, char** argv) {
        << ", \"rtt_us\": [" << json_number(quantile(rtt_us, 0.5)) << ", "
        << json_number(quantile(rtt_us, 0.9)) << "]"
        << ", \"windows\": {\"qps\": " << json_list(qps_windows)
-       << ", \"closed_steal_pct\": " << json_list(closed_steal)
        << ", \"p50_ms\": " << json_list(p50_windows)
-       << ", \"p90_ms\": " << json_list(p90_windows)
-       << ", \"open_steal_pct\": " << json_list(open_steal) << "}"
+       << ", \"p90_ms\": " << json_list(p90_windows) << "}"
        << ",\n \"end_to_end\": " << metrics_json(e2e, true)
        << ",\n \"per_layer\": " << metrics_json(layers, true) << "}\n";
   }

@@ -353,7 +353,7 @@ ReplayOutcome replay(ServingState& st, const Inputs& in,
         serve_frame(*st.engine, locate, in.payloads[r.frame], id, fs, parent);
 
     if (r.sampled) {
-      const std::size_t q = cfg.batch;
+      const std::size_t q = kBatch;
       bool have = false;
       bool same = false;
       if (locate) {

@@ -1,12 +1,13 @@
 #include "util.h"
 
+#include <pthread.h>
+#include <sched.h>
 #include <time.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <string>
 
 #include "common/check.h"
@@ -71,23 +72,56 @@ std::string json_string(const std::string& s) {
   return out + "\"";
 }
 
-CpuTimes read_cpu_times() {
-  std::ifstream in("/proc/stat");
-  std::string cpu;
-  in >> cpu;
-  CpuTimes t;
-  for (int field = 0; field < 8; ++field) {
-    double v = 0.0;
-    in >> v;
-    t.total += v;
-    if (field == 7) t.steal = v;
+LoadPlacement::LoadPlacement(pid_t daemon) {
+  RON_CHECK(pthread_getaffinity_np(pthread_self(), sizeof(saved_), &saved_) ==
+                0,
+            "pthread_getaffinity_np failed");
+  std::vector<int> cpus;
+  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (CPU_ISSET(cpu, &saved_)) cpus.push_back(cpu);
   }
-  return t;
+  if (cpus.size() < 2) return;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpus[0], &one);
+  RON_CHECK(pthread_setaffinity_np(pthread_self(), sizeof(one), &one) == 0,
+            "cannot pin the generator to CPU " << cpus[0]);
+  generator_cpu_ = cpus[0];
+  CPU_ZERO(&one);
+  CPU_SET(cpus[1], &one);
+  RON_CHECK(sched_setaffinity(daemon, sizeof(one), &one) == 0,
+            "cannot pin the daemon to CPU " << cpus[1]);
+  daemon_cpu_ = cpus[1];
+  spinner_ = std::thread([this, one] {
+    const sched_param idle{};
+    // A spinner that is not both pinned and at idle priority would take CPU
+    // time from the daemon, so it gives up instead.
+    if (pthread_setaffinity_np(pthread_self(), sizeof(one), &one) != 0 ||
+        pthread_setschedparam(pthread_self(), SCHED_IDLE, &idle) != 0) {
+      state_ = 2;
+      return;
+    }
+    state_ = 1;
+    while (!stop_.load(std::memory_order_relaxed)) {
+#if defined(__x86_64__) || defined(__i386__)
+      __builtin_ia32_pause();
+#endif
+    }
+  });
 }
 
-double steal_pct(const CpuTimes& a, const CpuTimes& b) {
-  const double total = b.total - a.total;
-  return total <= 0.0 ? 0.0 : 100.0 * (b.steal - a.steal) / total;
+LoadPlacement::~LoadPlacement() {
+  stop_ = true;
+  if (spinner_.joinable()) spinner_.join();
+  if (generator_cpu_ >= 0) {
+    pthread_setaffinity_np(pthread_self(), sizeof(saved_), &saved_);
+  }
+}
+
+bool LoadPlacement::spinning() const {
+  if (!spinner_.joinable()) return false;
+  while (state_.load() == 0) std::this_thread::yield();
+  return state_.load() == 1;
 }
 
 std::uint64_t mix64(std::uint64_t x) {

@@ -2,9 +2,10 @@
 //
 // A workload is a snapshot, a set of daemon flags, a stream of query frames,
 // an open-loop arrival schedule at a fixed offered rate, and on churn
-// workloads a stream of churn chunks beside the queries. Every input is a pure function of (workload, seed,
-// seconds): the same arguments give byte-identical frames, schedules and
-// churn chunks, and all of it is built before the daemon starts.
+// workloads a stream of churn chunks beside the queries. Every input is a
+// pure function of (workload, seed, seconds): the same arguments give
+// byte-identical frames, schedules and churn chunks, and all of it is built
+// before the daemon starts.
 #pragma once
 
 #include <cstdint>
@@ -21,6 +22,11 @@ namespace ronbench {
 
 enum class QueryKind { kLocate, kEstimate };
 
+/// Queries per frame, on every workload.
+inline constexpr std::size_t kBatch = 64;
+/// Operations per churn chunk (one admin frame).
+inline constexpr std::size_t kChurnChunkOps = 16;
+
 struct WorkloadConfig {
   std::string name;
   QueryKind kind = QueryKind::kLocate;
@@ -32,19 +38,18 @@ struct WorkloadConfig {
   std::size_t replicas = 0;
   /// Flags passed to ron_served on top of `<snapshot> --port 0`.
   std::vector<std::string> daemon_flags;
-  /// Fixed open-loop offered load, queries per second: about a third of
-  /// the closed-loop qps this workload measured when it was defined, so
-  /// the host's slower stretches do not build a backlog.
+  /// Fixed open-loop offered load, queries per second, kept well below the
+  /// closed-loop qps so the host's slower stretches do not build a backlog
+  /// (see the workload table in workload.cpp).
   double open_loop_qps = 0.0;
   /// Daemon start-ups per run; setup_s reports their median.
   std::size_t setup_repeats = 3;
-  /// Churn chunks of churn_chunk_ops operations sent through the admin
+  /// Churn chunks of kChurnChunkOps operations sent through the admin
   /// channel at churn_hz beside the queries (0 = no churn stream).
   double churn_hz = 0.0;
-  std::size_t churn_chunk_ops = 16;
-  /// Estimate endpoints drawn Zipf(1) over a seeded node permutation.
-  bool zipf = false;
-  std::size_t batch = 64;
+  /// Listed in BENCHMARK.json, so its end-to-end metrics are gated. An
+  /// ungated workload still runs by name, for its per-layer split.
+  bool gated = true;
 
   bool churn() const { return churn_hz > 0.0; }
 };
@@ -88,20 +93,19 @@ std::vector<ron::ChurnTrace> split_trace(const ron::ChurnTrace& trace,
 std::vector<ron::NodeId> never_removed(std::size_t n,
                                        const ron::ChurnTrace& trace);
 
-/// Query frames: `frames` batches of `batch` queries each.
+/// Query frames: `frames` batches of `batch` queries each. Estimate
+/// endpoints are both drawn Zipf(1) over a seeded node permutation.
 std::vector<std::vector<ron::LocateQuery>> make_locate_frames(
     std::span<const ron::NodeId> queriers,
     std::span<const ron::ObjectId> objects, std::size_t frames,
     std::size_t batch, std::uint64_t seed);
 std::vector<std::vector<ron::QueryPair>> make_estimate_frames(
-    std::size_t n, bool zipf, std::size_t frames, std::size_t batch,
-    std::uint64_t seed);
+    std::size_t n, std::size_t frames, std::size_t batch, std::uint64_t seed);
 
-/// Poisson arrival offsets (ns from the phase start) at `frames_per_s`,
-/// covering `seconds`.
-std::vector<std::uint64_t> poisson_offsets(double frames_per_s,
-                                           double seconds,
-                                           std::uint64_t seed);
+/// Fixed-rate arrival offsets (ns from the phase start): frame k is due at
+/// k / frames_per_s, for every k that falls within `seconds`.
+std::vector<std::uint64_t> fixed_rate_offsets(double frames_per_s,
+                                              double seconds);
 
 /// Request ids: query frame k carries k + 1 (frames are reused cyclically by
 /// the closed loop, and answers are matched first-in first-out per

@@ -1,7 +1,7 @@
 // Tests of the benchmark's own logic: seeded inputs are reproducible, the
 // open-loop pacer charges a late send from its due time, the output checks
-// reject forged answers, and BENCHMARK.json records every workload's rate
-// and daemon flags.
+// reject forged answers, and BENCHMARK.json lists exactly the gated
+// workloads, each with its rate and daemon flags.
 //
 //   ronbench_selftest <path to BENCHMARK.json>
 //
@@ -53,15 +53,22 @@ void test_streams_are_seeded() {
          make_locate_frames(queriers, objects, 20, 64, 7));
   EXPECT(make_locate_frames(queriers, objects, 20, 64, 7) !=
          make_locate_frames(queriers, objects, 20, 64, 8));
-  EXPECT(make_estimate_frames(480, true, 20, 64, 7) ==
-         make_estimate_frames(480, true, 20, 64, 7));
-  EXPECT(make_estimate_frames(480, true, 20, 64, 7) !=
-         make_estimate_frames(480, true, 20, 64, 8));
-  EXPECT(poisson_offsets(600.0, 2.0, 7) == poisson_offsets(600.0, 2.0, 7));
-  EXPECT(poisson_offsets(600.0, 2.0, 7) != poisson_offsets(600.0, 2.0, 8));
-  const auto offsets = poisson_offsets(600.0, 10.0, 7);
-  EXPECT(offsets.size() > 5400 && offsets.size() < 6600);
-  EXPECT(std::is_sorted(offsets.begin(), offsets.end()));
+  EXPECT(make_estimate_frames(480, 20, 64, 7) ==
+         make_estimate_frames(480, 20, 64, 7));
+  EXPECT(make_estimate_frames(480, 20, 64, 7) !=
+         make_estimate_frames(480, 20, 64, 8));
+}
+
+void test_fixed_rate_schedule() {
+  // 600 frames/s over 10 s: frame k due at exactly k / 600 s, none at or
+  // past the end.
+  const auto offsets = fixed_rate_offsets(600.0, 10.0);
+  EXPECT(offsets.size() == 6000);
+  for (std::size_t k = 0; k < offsets.size(); ++k) {
+    const double want = static_cast<double>(k) * 1e9 / 600.0;
+    EXPECT(std::abs(static_cast<double>(offsets[k]) - want) <= 1.0);
+  }
+  EXPECT(fixed_rate_offsets(600.0, 10.0) == offsets);
 }
 
 void test_zipf_sampler() {
@@ -131,7 +138,6 @@ void test_inputs_are_seeded(const std::string& tmp) {
     EXPECT(a.chunks == b.chunks);
     EXPECT(slurp(a.snapshot_path) == slurp(b.snapshot_path));
     EXPECT(a.payloads != c.payloads);
-    EXPECT(a.open_offsets_ns != c.open_offsets_ns);
     EXPECT(a.num_frames() >= a.open_offsets_ns.size());
     if (cfg.churn()) {
       EXPECT(a.chunks != c.chunks);
@@ -258,7 +264,7 @@ void test_benchmark_json_records_settings(const std::string& path) {
   EXPECT(!text.empty());
   for (const WorkloadConfig& cfg : workloads()) {
     const std::size_t at = text.find("\"name\": \"" + cfg.name + "\"");
-    EXPECT(at != std::string::npos);
+    EXPECT((at != std::string::npos) == cfg.gated);
     if (at == std::string::npos) continue;
     const std::size_t why = text.find("\"why\": \"", at);
     const std::string line = text.substr(why, text.find('\n', why) - why);
@@ -288,6 +294,7 @@ int main(int argc, char** argv) {
           .string();
   try {
     ronbench::test_streams_are_seeded();
+    ronbench::test_fixed_rate_schedule();
     ronbench::test_zipf_sampler();
     ronbench::test_churn_chunks_are_seeded();
     ronbench::test_inputs_are_seeded(tmp);
