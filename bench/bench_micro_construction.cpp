@@ -11,6 +11,7 @@
 #include <memory>
 #include <string>
 
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "graph/generators.h"
 #include "graph/graph_metric.h"
@@ -24,8 +25,10 @@
 #include "net/nets.h"
 #include "net/packing.h"
 #include "routing/basic_scheme.h"
+#include "scenario/metric_registry.h"
 #include "scenario/scenario_builder.h"
 #include "scenario/scenario_spec.h"
+#include "smallworld/rings_model.h"
 #include "telemetry/clock.h"
 
 namespace ron {
@@ -61,6 +64,38 @@ BENCHMARK(BM_ProximityIndexThreads)
     ->Args({512, 0})
     ->Args({1024, 1})
     ->Args({1024, 0})
+    ->UseRealTime();
+
+// Ring overlay build sweep: args are (n, num_threads, sealed), threads = 0
+// meaning one per available CPU (the daemon's default; the `workers`
+// counter stamps the resolved count). Geoline on the sparse backend, the
+// serving mode; nets and measure are built once outside the loop, so each
+// iteration is exactly one RingsSmallWorld construction. No explicit count
+// above 2, so no row runs more workers than a 2-core runner has.
+void BM_RingsSmallWorldThreads(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto threads = static_cast<unsigned>(state.range(1));
+  const RingStorage storage =
+      state.range(2) != 0 ? RingStorage::kSealed : RingStorage::kMutable;
+  const ScenarioSpec spec = ScenarioSpec::parse(
+      "metric=geoline,n=" + std::to_string(n) + ",base=1.0001,seed=1");
+  const auto metric = MetricRegistry::global().make(spec);
+  const auto prox = make_proximity_index(*metric, ProxBackend::kSparse);
+  const int l_max =
+      static_cast<int>(std::ceil(std::log2(prox->aspect_ratio()))) + 1;
+  const NetHierarchy nets(*prox, l_max);
+  const MeasureView mu(*prox, doubling_measure(nets));
+  for (auto _ : state) {
+    const RingsSmallWorld model(*prox, mu, spec.ring_params(),
+                                spec.overlay_seed, threads, storage);
+    benchmark::DoNotOptimize(model.rings().avg_out_degree());
+  }
+  state.counters["workers"] =
+      static_cast<double>(resolve_workers(n, threads));
+}
+BENCHMARK(BM_RingsSmallWorldThreads)
+    ->ArgsProduct({{2048, 8192}, {1, 2, 0}, {0, 1}})
+    ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
 void BM_NetHierarchy(benchmark::State& state) {
@@ -164,6 +199,8 @@ void run_sparse_scale(std::size_t n) {
   ScenarioBuilder builder(spec, 0, ProxBackend::kSparse);
   const RingsOfNeighbors& rings = builder.rings();
   const double build_seconds = build_watch.elapsed_seconds();
+  const LocationOverlay::StageSeconds& stages =
+      builder.overlay().stage_seconds();
 
   const auto& sparse =
       dynamic_cast<const SparseProximityIndex&>(builder.prox());
@@ -192,7 +229,12 @@ void run_sparse_scale(std::size_t n) {
       locate_seconds > 0.0 ? static_cast<double>(queries) / locate_seconds
                            : 0.0;
   std::cout << "{\"sparse_scale\":{\"n\":" << n
-            << ",\"family\":\"geoline\",\"build_seconds\":" << build_seconds
+            << ",\"family\":\"geoline\",\"nproc\":" << available_cpus()
+            << ",\"build_threads\":" << resolve_workers(n, 0)
+            << ",\"build_seconds\":" << build_seconds
+            << ",\"nets_seconds\":" << stages.nets
+            << ",\"measure_seconds\":" << stages.measure
+            << ",\"rings_seconds\":" << stages.rings
             << ",\"peak_rss_mb\":" << peak_rss_mb()
             << ",\"core_bytes\":" << core_bytes << ",\"bytes_per_node\":"
             << static_cast<double>(core_bytes) / static_cast<double>(n)

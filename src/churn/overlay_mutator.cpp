@@ -45,8 +45,8 @@ OverlayMutator::OverlayMutator(const ProximityIndex& prox,
   weights0_ = doubling_measure(nets);
   weights_ = weights0_;
   MeasureView mu(prox_, weights0_);
-  RingsSmallWorld model(prox_, mu, params_, spec.overlay_seed);
-  rings_ = model.rings();
+  rings_ = RingsSmallWorld(prox_, mu, params_, spec.overlay_seed)
+               .take_rings();
 
   l_max_ = l_max;
   net_members_.resize(static_cast<std::size_t>(l_max_) + 1);

@@ -5,6 +5,7 @@
 
 #include "common/bits.h"
 #include "common/check.h"
+#include "common/parallel.h"
 
 namespace ron {
 
@@ -45,30 +46,120 @@ void skip_ids(const std::uint8_t*& p) {
   for (std::uint64_t i = 0; i < count; ++i) read_varint(p);
 }
 
+/// Sorts and dedups `ring`, checks its members against n, and merges them
+/// into the sorted-unique neighbor union `cache`.
+void absorb_ring(Ring& ring, std::vector<NodeId>& cache, std::size_t n) {
+  std::sort(ring.members.begin(), ring.members.end());
+  ring.members.erase(std::unique(ring.members.begin(), ring.members.end()),
+                     ring.members.end());
+  for (NodeId v : ring.members) {
+    RON_CHECK(v < n, "ring member out of range");
+  }
+  std::vector<NodeId> merged;
+  merged.reserve(cache.size() + ring.members.size());
+  std::set_union(cache.begin(), cache.end(), ring.members.begin(),
+                 ring.members.end(), std::back_inserter(merged));
+  cache = std::move(merged);
+}
+
+/// Concatenates `field` of every part into one vector of exact capacity,
+/// freeing each part's copy once appended (a lone part is moved), so the
+/// transient peak stays near one copy.
+template <typename T, typename Part>
+std::vector<T> concat_parts(std::vector<Part>& parts,
+                            std::vector<T> Part::*field) {
+  if (parts.size() == 1) {
+    std::vector<T> out = std::move(parts[0].*field);
+    out.shrink_to_fit();
+    return out;
+  }
+  std::size_t total = 0;
+  for (const Part& part : parts) total += (part.*field).size();
+  std::vector<T> out;
+  out.reserve(total);
+  for (Part& part : parts) {
+    std::vector<T>& v = part.*field;
+    out.insert(out.end(), v.begin(), v.end());
+    std::vector<T>().swap(v);
+  }
+  return out;
+}
+
 }  // namespace
 
+struct RingsOfNeighbors::SealedPart {
+  std::vector<std::uint8_t> blob;       // per ring: [count][ids...]
+  std::vector<double> scales;           // one per ring
+  std::vector<std::uint8_t> nbr_blob;   // per node: union deltas, no count
+  // Per node, in node order:
+  std::vector<std::uint64_t> blob_end;  // end offset into blob
+  std::vector<std::uint64_t> ring_end;  // end index into scales
+  std::vector<std::uint64_t> nbr_end;   // end offset into nbr_blob
+  std::vector<std::uint32_t> degree;    // neighbor-union size
+};
+
 RingsOfNeighbors::RingsOfNeighbors(std::size_t n)
-    : n_(n), rings_(n), neighbors_(n) {
+    : RingsOfNeighbors(n, RingStorage::kMutable) {}
+
+RingsOfNeighbors::RingsOfNeighbors(std::size_t n, RingStorage storage)
+    : n_(n) {
   RON_CHECK(n >= 1, "n=" << n);
+  if (storage == RingStorage::kMutable) {
+    rings_.resize(n);
+    neighbors_.resize(n);
+  }
+}
+
+RingsOfNeighbors RingsOfNeighbors::build(std::size_t n,
+                                         const RingSampler& sample,
+                                         RingStorage storage,
+                                         unsigned num_threads) {
+  RingsOfNeighbors out(n, storage);
+  const unsigned workers = resolve_workers(n, num_threads);
+  if (storage == RingStorage::kMutable) {
+    // Worker slices own disjoint rings_[u]/neighbors_[u] entries.
+    run_slices(n, workers, [&](unsigned, std::size_t begin,
+                               std::size_t end) {
+      for (auto u = static_cast<NodeId>(begin); u < end; ++u) {
+        std::vector<Ring>& rings = out.rings_[u];
+        sample(u, rings);
+        for (Ring& ring : rings) absorb_ring(ring, out.neighbors_[u], n);
+      }
+    });
+    for (const auto& cache : out.neighbors_) {
+      out.total_degree_ += cache.size();
+    }
+    out.recompute_max_degree();
+    return out;
+  }
+  std::vector<SealedPart> parts(workers);
+  run_slices(n, workers, [&](unsigned t, std::size_t begin,
+                             std::size_t end) {
+    // Encode into a local part (no cache-line sharing with the other
+    // workers' vector headers), handed off once the slice is done.
+    SealedPart part;
+    std::vector<Ring> rings;
+    std::vector<NodeId> nbrs;
+    for (auto u = static_cast<NodeId>(begin); u < end; ++u) {
+      rings.clear();
+      nbrs.clear();
+      sample(u, rings);
+      for (Ring& ring : rings) absorb_ring(ring, nbrs, n);
+      encode_node(rings, nbrs, part);
+    }
+    parts[t] = std::move(part);
+  });
+  out.adopt(std::move(parts));
+  return out;
 }
 
 void RingsOfNeighbors::add_ring(NodeId u, Ring ring) {
   RON_CHECK(!sealed_, "rings are sealed (compact storage): add_ring "
                       "requires the mutable representation");
   RON_CHECK(u < rings_.size(), "node u=" << u << ", n=" << rings_.size());
-  std::sort(ring.members.begin(), ring.members.end());
-  ring.members.erase(std::unique(ring.members.begin(), ring.members.end()),
-                     ring.members.end());
-  for (NodeId v : ring.members) {
-    RON_CHECK(v < rings_.size(), "ring member out of range");
-  }
   std::vector<NodeId>& cache = neighbors_[u];
   const std::size_t old_degree = cache.size();
-  std::vector<NodeId> merged;
-  merged.reserve(old_degree + ring.members.size());
-  std::set_union(cache.begin(), cache.end(), ring.members.begin(),
-                 ring.members.end(), std::back_inserter(merged));
-  cache = std::move(merged);
+  absorb_ring(ring, cache, n_);
   total_degree_ += cache.size() - old_degree;
   max_degree_ = std::max(max_degree_, cache.size());
   rings_[u].push_back(std::move(ring));
@@ -196,30 +287,65 @@ std::uint64_t RingsOfNeighbors::pointer_bits(NodeId u) const {
   return out_degree(u) * bits_for_index(n_);
 }
 
-void RingsOfNeighbors::seal() {
-  if (sealed_) return;
+void RingsOfNeighbors::encode_node(std::span<const Ring> rings,
+                                   std::span<const NodeId> nbrs,
+                                   SealedPart& part) {
+  for (const Ring& ring : rings) {
+    part.scales.push_back(ring.scale);
+    encode_ids(part.blob, ring.members);
+  }
+  // The neighbor blob omits the count prefix: degree already holds it, and
+  // the walk passes it to decode_ids directly.
+  for (std::size_t i = 0; i < nbrs.size(); ++i) {
+    encode_varint(part.nbr_blob, i == 0 ? nbrs[0] : nbrs[i] - nbrs[i - 1]);
+  }
+  part.blob_end.push_back(part.blob.size());
+  part.ring_end.push_back(part.scales.size());
+  part.nbr_end.push_back(part.nbr_blob.size());
+  part.degree.push_back(static_cast<std::uint32_t>(nbrs.size()));
+}
+
+void RingsOfNeighbors::adopt(std::vector<SealedPart> parts) {
   node_blob_begin_.assign(n_ + 1, 0);
   node_ring_first_.assign(n_ + 1, 0);
   nbr_begin_.assign(n_ + 1, 0);
-  degree_.resize(n_);
+  std::size_t u = 0;
+  std::uint64_t blob_base = 0;
+  std::uint64_t ring_base = 0;
+  std::uint64_t nbr_base = 0;
+  for (const SealedPart& part : parts) {
+    for (std::size_t i = 0; i < part.degree.size(); ++i, ++u) {
+      node_blob_begin_[u + 1] = blob_base + part.blob_end[i];
+      node_ring_first_[u + 1] = ring_base + part.ring_end[i];
+      nbr_begin_[u + 1] = nbr_base + part.nbr_end[i];
+    }
+    blob_base += part.blob.size();
+    ring_base += part.scales.size();
+    nbr_base += part.nbr_blob.size();
+  }
+  RON_CHECK(u == n_, "sealed parts cover " << u << " of " << n_ << " nodes");
+  blob_ = concat_parts(parts, &SealedPart::blob);
+  ring_scale_ = concat_parts(parts, &SealedPart::scales);
+  nbr_blob_ = concat_parts(parts, &SealedPart::nbr_blob);
+  degree_ = concat_parts(parts, &SealedPart::degree);
+  total_degree_ = 0;
+  max_degree_ = 0;
+  for (const std::uint32_t d : degree_) {
+    total_degree_ += d;
+    max_degree_ = std::max<std::size_t>(max_degree_, d);
+  }
+  sealed_ = true;
+}
+
+void RingsOfNeighbors::seal() {
+  if (sealed_) return;
+  std::vector<SealedPart> parts(1);
+  SealedPart& part = parts[0];
   std::size_t total_rings = 0;
-  for (NodeId u = 0; u < n_; ++u) total_rings += rings_[u].size();
-  ring_scale_.reserve(total_rings);
+  for (const auto& node_rings : rings_) total_rings += node_rings.size();
+  part.scales.reserve(total_rings);
   for (NodeId u = 0; u < n_; ++u) {
-    for (const Ring& ring : rings_[u]) {
-      ring_scale_.push_back(ring.scale);
-      encode_ids(blob_, ring.members);
-    }
-    node_ring_first_[u + 1] = ring_scale_.size();
-    node_blob_begin_[u + 1] = blob_.size();
-    // The neighbor blob omits the count prefix: degree_ already holds it,
-    // and the walk passes it to decode_ids directly.
-    const std::vector<NodeId>& nbrs = neighbors_[u];
-    degree_[u] = static_cast<std::uint32_t>(nbrs.size());
-    for (std::size_t i = 0; i < nbrs.size(); ++i) {
-      encode_varint(nbr_blob_, i == 0 ? nbrs[0] : nbrs[i] - nbrs[i - 1]);
-    }
-    nbr_begin_[u + 1] = nbr_blob_.size();
+    encode_node(rings_[u], neighbors_[u], part);
     // Free each node's mutable storage as it is encoded, so the peak is
     // one representation plus a single node, not two full copies.
     rings_[u].clear();
@@ -231,9 +357,7 @@ void RingsOfNeighbors::seal() {
   rings_.shrink_to_fit();
   neighbors_.clear();
   neighbors_.shrink_to_fit();
-  blob_.shrink_to_fit();
-  nbr_blob_.shrink_to_fit();
-  sealed_ = true;
+  adopt(std::move(parts));
 }
 
 double RingsOfNeighbors::ring_scale(NodeId u, std::size_t ring_index) const {
@@ -318,10 +442,7 @@ Ring sample_measure_ball_ring(const MeasureView& mu, NodeId u, Dist radius,
                               std::size_t count, Rng& rng) {
   Ring ring;
   ring.scale = radius;
-  ring.members.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    ring.members.push_back(mu.sample_in_ball(u, radius, rng));
-  }
+  ring.members = mu.sample_in_ball(u, radius, count, rng);
   std::sort(ring.members.begin(), ring.members.end());
   ring.members.erase(
       std::unique(ring.members.begin(), ring.members.end()),

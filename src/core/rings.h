@@ -29,6 +29,11 @@
 // (out_degree, max/avg degree, pointer_bits) work in both modes and
 // enumerate members in the same ascending-id order, so walks and snapshot
 // writers behave identically on either representation.
+//
+// Whole overlays are built in bulk by RingsOfNeighbors::build, which runs a
+// per-node sampler over contiguous node slices on every core and, when
+// asked for sealed storage, encodes each slice straight into the compact
+// form — bit-identical to add_ring() per ring followed by seal().
 #pragma once
 
 #include <cstdint>
@@ -53,9 +58,33 @@ struct Ring {
   friend bool operator==(const Ring&, const Ring&) = default;
 };
 
+/// The representation a bulk build produces (see the two storage modes
+/// above).
+enum class RingStorage { kMutable, kSealed };
+
+/// Per-node ring sampler for RingsOfNeighbors::build: appends node u's
+/// rings, in ring order, to `out` (empty on entry). Called concurrently for
+/// distinct nodes, so it may only read shared state; per-node randomness
+/// comes from a stream keyed by u (Rng::fork), never from a shared one.
+using RingSampler = std::function<void(NodeId u, std::vector<Ring>& out)>;
+
 class RingsOfNeighbors {
  public:
   explicit RingsOfNeighbors(std::size_t n);
+
+  /// Builds the rings of all n nodes by running `sample` once per node,
+  /// over contiguous node slices on `num_threads` workers
+  /// (common/parallel.h: 0 = one per available CPU, serial below
+  /// kMinParallelItems nodes). The result is identical for every thread
+  /// count and equal to add_ring() of each sampled ring in node order
+  /// (same member range check, same degree totals and maxima), followed
+  /// by seal() for RingStorage::kSealed. kSealed encodes each slice into
+  /// compact storage as it is sampled, so the mutable form never exists
+  /// for the whole container. A sampler or range-check failure in any
+  /// worker propagates as its original ron::Error.
+  static RingsOfNeighbors build(std::size_t n, const RingSampler& sample,
+                                RingStorage storage,
+                                unsigned num_threads = 0);
 
   std::size_t n() const { return n_; }
 
@@ -146,6 +175,22 @@ class RingsOfNeighbors {
   std::uint64_t memory_bytes() const;
 
  private:
+  /// A contiguous node range in the sealed layout, offsets relative to
+  /// the part (defined in rings.cpp).
+  struct SealedPart;
+
+  /// kSealed starts with no mutable per-node vectors at all.
+  RingsOfNeighbors(std::size_t n, RingStorage storage);
+
+  /// Appends one node's rings and neighbor union to `part` in the sealed
+  /// layout — the one encoder behind both seal() and build(kSealed).
+  static void encode_node(std::span<const Ring> rings,
+                          std::span<const NodeId> nbrs, SealedPart& part);
+
+  /// Installs `parts`, covering nodes [0, n) in order, as the sealed
+  /// storage (offsets rebased, blobs concatenated with exact capacity).
+  void adopt(std::vector<SealedPart> parts);
+
   Ring& ring_at(NodeId u, std::size_t ring_index);
 
   /// Decodes `count` varint-delta ids (first absolute, rest deltas) and

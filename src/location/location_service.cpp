@@ -4,6 +4,7 @@
 
 #include "common/check.h"
 #include "smallworld/model.h"
+#include "telemetry/clock.h"
 
 namespace ron {
 
@@ -121,14 +122,22 @@ LocateResult LocationService::locate(NodeId querier, const std::string& object,
 
 LocationOverlay::LocationOverlay(const ProximityIndex& prox,
                                  const RingsModelParams& params,
-                                 std::uint64_t seed) {
+                                 std::uint64_t seed, unsigned num_threads,
+                                 RingStorage storage) {
   // Scale range [log Δ] as in §5: the top net level must span the diameter.
   const int l_max =
       static_cast<int>(std::ceil(std::log2(prox.aspect_ratio()))) + 1;
+  Stopwatch watch(Clock::real());
   nets_ = std::make_unique<NetHierarchy>(prox, l_max);
+  stage_seconds_.nets = watch.elapsed_seconds();
+  watch.restart();
   mu_ = std::make_unique<MeasureView>(prox, doubling_measure(*nets_));
   mu_view_ = mu_.get();
-  model_ = std::make_unique<RingsSmallWorld>(prox, *mu_, params, seed);
+  stage_seconds_.measure = watch.elapsed_seconds();
+  watch.restart();
+  model_ = std::make_unique<RingsSmallWorld>(prox, *mu_, params, seed,
+                                             num_threads, storage);
+  stage_seconds_.rings = watch.elapsed_seconds();
 }
 
 LocationOverlay::LocationOverlay(const MeasureView& mu,

@@ -121,10 +121,22 @@ class LocationService {
 /// repeated inline until now: net hierarchy over [log Δ] -> Theorem 1.3
 /// doubling measure -> X+Y rings small world (or the Y-only foil). Owns the
 /// intermediate machinery so callers keep exactly one object alive.
+/// `num_threads` and `storage` go to the RingsSmallWorld build (0 = one
+/// worker per available CPU; kSealed = compact serving storage, built
+/// directly) and never change the overlay.
 class LocationOverlay {
  public:
+  /// Wall seconds of each build stage, from Clock::real() (annotation
+  /// only; all zero for the borrowed-measure constructor).
+  struct StageSeconds {
+    double nets = 0.0;
+    double measure = 0.0;
+    double rings = 0.0;
+  };
+
   LocationOverlay(const ProximityIndex& prox, const RingsModelParams& params,
-                  std::uint64_t seed);
+                  std::uint64_t seed, unsigned num_threads = 0,
+                  RingStorage storage = RingStorage::kMutable);
 
   /// Borrows a prebuilt doubling measure (`mu` must outlive the overlay) —
   /// the nets+measure do not depend on the ring profile, so comparisons
@@ -137,16 +149,14 @@ class LocationOverlay {
   const RingsOfNeighbors& rings() const { return model_->rings(); }
   const RingsSmallWorld& model() const { return *model_; }
   const MeasureView& measure() const { return *mu_view_; }
-
-  /// Freezes the overlay's rings into compact storage — the million-node
-  /// serving mode (see RingsSmallWorld::seal_rings for the caveat).
-  void seal_rings() { model_->seal_rings(); }
+  const StageSeconds& stage_seconds() const { return stage_seconds_; }
 
  private:
   std::unique_ptr<NetHierarchy> nets_;     // null when the measure is borrowed
   std::unique_ptr<MeasureView> mu_;        // null when the measure is borrowed
   const MeasureView* mu_view_ = nullptr;   // owned or borrowed measure
   std::unique_ptr<RingsSmallWorld> model_;
+  StageSeconds stage_seconds_;
 };
 
 }  // namespace ron

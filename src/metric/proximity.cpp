@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <exception>
 #include <limits>
-#include <thread>
 #include <vector>
 
 #include "common/bits.h"
 #include "common/check.h"
+#include "common/parallel.h"
 
 namespace ron {
 
@@ -101,11 +100,14 @@ DenseProximityIndex::DenseProximityIndex(const MetricSpace& metric,
 
   // Each row only touches its own slice of rows_, so rows build
   // independently; dmin/dmax are reduced per worker and merged after join.
-  auto build_rows = [this](NodeId begin, NodeId end, Dist& dmin_out,
-                           Dist& dmax_out) {
+  const unsigned workers = resolve_workers(n_, num_threads);
+  std::vector<Dist> mins(workers, kInfDist);
+  std::vector<Dist> maxs(workers, 0.0);
+  run_slices(n_, workers, [&](unsigned t, std::size_t begin,
+                              std::size_t end) {
     Dist dmin = kInfDist;
     Dist dmax = 0.0;
-    for (NodeId u = begin; u < end; ++u) {
+    for (auto u = static_cast<NodeId>(begin); u < end; ++u) {
       Neighbor* r = &rows_[static_cast<std::size_t>(u) * n_];
       for (NodeId v = 0; v < n_; ++v) {
         r[v] = Neighbor{metric_.distance(u, v), v};
@@ -120,57 +122,11 @@ DenseProximityIndex::DenseProximityIndex(const MetricSpace& metric,
       dmin = std::min(dmin, r[1].d);
       dmax = std::max(dmax, r[n_ - 1].d);
     }
-    dmin_out = dmin;
-    dmax_out = dmax;
-  };
-
-  if (num_threads == 0) {
-    // Auto: one thread per core, except below a size where the whole build
-    // is microseconds of work and spawn/join would dominate. An explicit
-    // num_threads > 1 is always honored.
-    num_threads =
-        n_ < 256 ? 1 : std::max(1u, std::thread::hardware_concurrency());
-  }
-  num_threads = static_cast<unsigned>(
-      std::min<std::size_t>(num_threads, n_));
-
-  if (num_threads <= 1) {
-    build_rows(0, static_cast<NodeId>(n_), dmin_, dmax_);
-  } else {
-    const std::size_t chunk = (n_ + num_threads - 1) / num_threads;
-    std::vector<Dist> mins(num_threads, kInfDist);
-    std::vector<Dist> maxs(num_threads, 0.0);
-    std::vector<std::exception_ptr> errors(num_threads);
-    std::vector<std::thread> workers;
-    workers.reserve(num_threads);
-    try {
-      for (unsigned t = 0; t < num_threads; ++t) {
-        const auto begin = static_cast<NodeId>(std::min(n_, t * chunk));
-        const auto end = static_cast<NodeId>(std::min(n_, (t + 1) * chunk));
-        workers.emplace_back([&, t, begin, end] {
-          try {
-            build_rows(begin, end, mins[t], maxs[t]);
-          } catch (...) {
-            errors[t] = std::current_exception();
-          }
-        });
-      }
-    } catch (...) {
-      // Thread spawn failed (resource limit): join what started, then
-      // propagate instead of letting ~thread() call std::terminate.
-      for (std::thread& w : workers) w.join();
-      throw;
-    }
-    for (std::thread& w : workers) w.join();
-    // RON_CHECK throws on invalid input (e.g. duplicate points); surface the
-    // first worker failure with its original message.
-    for (const std::exception_ptr& e : errors) {
-      if (e) std::rethrow_exception(e);
-    }
-    dmin_ = *std::min_element(mins.begin(), mins.end());
-    dmax_ = *std::max_element(maxs.begin(), maxs.end());
-  }
-
+    mins[t] = dmin;
+    maxs[t] = dmax;
+  });
+  dmin_ = *std::min_element(mins.begin(), mins.end());
+  dmax_ = *std::max_element(maxs.begin(), maxs.end());
   init_scales();
 }
 

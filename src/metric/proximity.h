@@ -136,17 +136,15 @@ class DenseProximityIndex final : public ProximityIndex {
   static constexpr std::size_t kMaxDenseNodes = 20000;
 
   /// Builds the per-node distance-sorted rows. Row construction is
-  /// independent across nodes and runs on `num_threads` threads
-  /// (0 = one per hardware core, or serial for small metrics); results are
-  /// identical for any thread count. `metric.distance()` must be safe to
-  /// call concurrently.
+  /// independent across nodes and runs on `num_threads` workers over
+  /// contiguous node slices (common/parallel.h; 0 = one per available CPU,
+  /// or serial for small metrics); results are identical for any thread
+  /// count. `metric.distance()` must be safe to call concurrently.
   ///
   /// Parallel-construction handoff: each worker writes only its own slice
-  /// of rows_ and its own dmin/dmax accumulator slot; the spawning thread
-  /// reads them strictly after join() (the happens-before edge TSan checks
-  /// — the tsan.* stress shard builds the index multi-threaded and asserts
-  /// bit-identical results against a serial build). No locks, so no
-  /// thread-safety annotations: disjointness is the whole contract.
+  /// of rows_ and its own dmin/dmax accumulator slot, read after the join
+  /// (the tsan.* stress shard builds the index multi-threaded and asserts
+  /// bit-identical results against a serial build).
   explicit DenseProximityIndex(const MetricSpace& metric,
                                unsigned num_threads = 0);
 

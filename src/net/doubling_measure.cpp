@@ -96,43 +96,56 @@ Dist MeasureView::rank_radius(NodeId u, double eps) const {
   return prox_.kth_radius(u, lo);
 }
 
-NodeId MeasureView::sample_in_ball(NodeId u, Dist r, Rng& rng) const {
+std::vector<NodeId> MeasureView::sample_in_ball(NodeId u, Dist r,
+                                                std::size_t count,
+                                                Rng& rng) const {
   const BallIds ids = prox_.ball_ids(u, r);
   RON_CHECK(!ids.empty(), "empty ball at radius " << r);
-  // Both branches consume exactly one uniform draw, and the branch follows
+  // The ball and its mass are resolved once; each draw then consumes
+  // exactly one uniform on either internal branch, and the branch follows
   // the canonical BallIds form, so either proximity backend advances the
-  // rng stream identically and picks the same node. Zero-weight members are
-  // never chosen (their cumulative mass never exceeds the draw).
+  // rng stream identically and picks the same nodes. Zero-weight members
+  // are never chosen (their cumulative mass never exceeds the draw).
+  std::vector<NodeId> picks;
+  picks.reserve(count);
+  auto draw = [&](double mass, auto&& pick) {
+    RON_CHECK(mass > 0.0, "zero-mass ball at radius " << r);
+    for (std::size_t i = 0; i < count; ++i) {
+      picks.push_back(pick(rng.uniform(0.0, mass)));
+    }
+  };
   if (ids.runs_backed()) {
     const auto runs = ids.runs();
     double mass = 0.0;
     for (const auto& run : runs) mass += G_[run.end] - G_[run.begin];
-    RON_CHECK(mass > 0.0, "zero-mass ball at radius " << r);
-    double x = rng.uniform(0.0, mass);
-    for (const auto& run : runs) {
-      const double w = G_[run.end] - G_[run.begin];
-      if (x < w) {
-        // Smallest v in [run.begin, run.end) with G_[v + 1] > G_[run.begin]
-        // + x; x < w guarantees a hit within the run.
-        const auto it = std::upper_bound(G_.begin() + run.begin + 1,
-                                         G_.begin() + run.end + 1,
-                                         G_[run.begin] + x);
-        return static_cast<NodeId>((it - G_.begin()) - 1);
+    draw(mass, [&](double x) {
+      for (const auto& run : runs) {
+        const double w = G_[run.end] - G_[run.begin];
+        if (x < w) {
+          // Smallest v in [run.begin, run.end) with G_[v + 1] >
+          // G_[run.begin] + x; x < w guarantees a hit within the run.
+          const auto it = std::upper_bound(G_.begin() + run.begin + 1,
+                                           G_.begin() + run.end + 1,
+                                           G_[run.begin] + x);
+          return static_cast<NodeId>((it - G_.begin()) - 1);
+        }
+        x -= w;
       }
-      x -= w;
-    }
-    return runs.back().end - 1;  // fp slack: clamp to the last member
+      return static_cast<NodeId>(runs.back().end - 1);  // fp slack: clamp
+    });
+    return picks;
   }
   const auto member_ids = ids.ids();
   double mass = 0.0;
   for (NodeId v : member_ids) mass += weights_[v];
-  RON_CHECK(mass > 0.0, "zero-mass ball at radius " << r);
-  double x = rng.uniform(0.0, mass);
-  for (NodeId v : member_ids) {
-    x -= weights_[v];
-    if (x < 0.0) return v;
-  }
-  return member_ids.back();  // fp slack: clamp to the last member
+  draw(mass, [&](double x) {
+    for (NodeId v : member_ids) {
+      x -= weights_[v];
+      if (x < 0.0) return v;
+    }
+    return member_ids.back();  // fp slack: clamp to the last member
+  });
+  return picks;
 }
 
 double MeasureView::doubling_ratio(std::size_t center_samples,

@@ -44,9 +44,13 @@ class MeasureView {
   /// u of measure >= eps. Requires 0 < eps <= total mass.
   Dist rank_radius(NodeId u, double eps) const;
 
-  /// One node of B_u(r) drawn with probability weight / ball mass,
-  /// consuming exactly one uniform rng draw on either internal branch.
-  NodeId sample_in_ball(NodeId u, Dist r, Rng& rng) const;
+  /// `count` independent draws from B_u(r), each node with probability
+  /// weight / ball mass, in draw order (with repeats). The ball and its
+  /// mass are resolved once per call; each draw consumes exactly one
+  /// uniform from `rng`, so the picks and the stream state equal `count`
+  /// single draws.
+  std::vector<NodeId> sample_in_ball(NodeId u, Dist r, std::size_t count,
+                                     Rng& rng) const;
 
   /// Empirical doubling constant: max over sampled (u, dyadic r) of
   /// mu(B_u(r)) / mu(B_u(r/2)).

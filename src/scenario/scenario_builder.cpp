@@ -18,7 +18,7 @@ void ScenarioBuilder::timed_stage(const char* name, BuildFn&& build) {
 ScenarioBuilder::ScenarioBuilder(const ScenarioSpec& spec,
                                  unsigned num_threads, ProxBackend backend,
                                  const MetricRegistry& registry)
-    : spec_(spec) {
+    : spec_(spec), num_threads_(num_threads) {
   timed_stage("ron_build_metric_seconds",
               [&] { metric_ = registry.make(spec_); });
   spec_.n = metric_->n();  // canonical: families may round n up
@@ -64,13 +64,18 @@ DistanceLabeling ScenarioBuilder::take_labeling() {
 const LocationOverlay& ScenarioBuilder::overlay() {
   if (overlay_ == nullptr) {
     timed_stage("ron_build_overlay_seconds", [&] {
-      overlay_ = std::make_unique<LocationOverlay>(
-          *prox_, spec_.ring_params(), spec_.overlay_seed);
       // Large sparse-backend builds are served through LocationService
-      // (visitation accessors), so compact the rings; small dense builds
-      // keep the mutable form for churn and the span accessors.
-      if (sparse_backend()) overlay_->seal_rings();
+      // (visitation accessors), so their rings are built compact; small
+      // dense builds keep the mutable form for churn and the span
+      // accessors.
+      overlay_ = std::make_unique<LocationOverlay>(
+          *prox_, spec_.ring_params(), spec_.overlay_seed, num_threads_,
+          sparse_backend() ? RingStorage::kSealed : RingStorage::kMutable);
     });
+    const LocationOverlay::StageSeconds& stages = overlay_->stage_seconds();
+    metrics_.gauge("ron_build_nets_seconds").set(stages.nets);
+    metrics_.gauge("ron_build_measure_seconds").set(stages.measure);
+    metrics_.gauge("ron_build_rings_seconds").set(stages.rings);
   }
   return *overlay_;
 }

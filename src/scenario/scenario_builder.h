@@ -36,11 +36,13 @@ class ScenarioBuilder {
  public:
   /// Resolves spec.family through `registry` and builds the metric and
   /// proximity index eagerly (everything else is lazy). `num_threads`
-  /// parallelizes the dense proximity rows (0 = auto) and never affects
-  /// results. `backend` picks the proximity backend (kAuto: sparse iff the
-  /// family has a PointSource and n > kAutoSparseCutoff); sparse builds
-  /// also store their rings compactly (delta-coded, frozen). Throws
-  /// ron::Error for an unknown family or invalid parameters.
+  /// parallelizes the dense proximity rows and the overlay's ring sampling
+  /// (0 = one worker per available CPU) and never affects results.
+  /// `backend` picks the proximity backend (kAuto: sparse iff the family
+  /// has a PointSource and n > kAutoSparseCutoff); sparse builds also
+  /// store their rings compactly (delta-coded, frozen), encoded straight
+  /// from the sampler. Throws ron::Error for an unknown family or invalid
+  /// parameters.
   explicit ScenarioBuilder(const ScenarioSpec& spec, unsigned num_threads = 0,
                            ProxBackend backend = ProxBackend::kAuto,
                            const MetricRegistry& registry =
@@ -88,7 +90,8 @@ class ScenarioBuilder {
                                  std::uint64_t seed) const;
 
   /// Build telemetry (ron_build_* names): per-stage wall seconds as
-  /// gauges (each lazy stage builds at most once) plus the node count.
+  /// gauges (each lazy stage builds at most once; the overlay's total
+  /// splits into nets, measure and rings) plus the node count.
   /// Timings come from Clock::real() — they annotate, never influence,
   /// the deterministic pipeline.
   const MetricsRegistry& metrics() const { return metrics_; }
@@ -99,6 +102,7 @@ class ScenarioBuilder {
   void timed_stage(const char* name, BuildFn&& build);
 
   ScenarioSpec spec_;
+  unsigned num_threads_;
   MetricsRegistry metrics_{1};
   std::unique_ptr<MetricSpace> metric_;
   std::unique_ptr<ProximityIndex> prox_;

@@ -39,8 +39,10 @@ struct ServedStateOptions {
   /// Walk configuration, fixed per engine (cached results must never
   /// reflect a different configuration).
   LocateOptions locate;
-  /// ScenarioBuilder threads for the overlay rebuild at load time.
-  unsigned build_threads = 1;
+  /// ScenarioBuilder threads for the overlay rebuild at load time
+  /// (proximity rows and ring sampling; 0 = one per available CPU). The
+  /// rebuilt overlay is the same for every count.
+  unsigned build_threads = 0;
   /// Proximity backend for the overlay rebuild. Dense (the default) keeps
   /// directory snapshots churnable through the admin channel; sparse (or
   /// auto above the cutoff) serves static locate at scales where dense

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/rings.h"
@@ -31,9 +32,16 @@ struct RingsModelParams {
 
 class RingsSmallWorld final : public SmallWorldModel {
  public:
-  /// `mu` must be a doubling measure view over `prox` (Theorem 1.3).
+  /// `mu` must be a doubling measure view over `prox` (Theorem 1.3). Node
+  /// u's rings are drawn from Rng(seed).fork(u), so the overlay is the
+  /// same for every `num_threads` (RingsOfNeighbors::build: 0 = one
+  /// worker per available CPU). `storage` kSealed builds the compact
+  /// serving form directly (contacts() is then unavailable, as after
+  /// seal_rings()).
   RingsSmallWorld(const ProximityIndex& prox, const MeasureView& mu,
-                  const RingsModelParams& params, std::uint64_t seed);
+                  const RingsModelParams& params, std::uint64_t seed,
+                  unsigned num_threads = 0,
+                  RingStorage storage = RingStorage::kMutable);
 
   std::string name() const override {
     return params_.with_x ? "thm5.2a(X+Y)" : "Y-only";
@@ -49,6 +57,10 @@ class RingsSmallWorld final : public SmallWorldModel {
   /// mutable neighbor cache — throws afterwards, so seal only when the
   /// overlay is consumed through LocationService.
   void seal_rings() { rings_.seal(); }
+
+  /// Moves the rings out (for owners that outlive the model, like the
+  /// churn mutator); the model is unusable afterwards.
+  RingsOfNeighbors take_rings() && { return std::move(rings_); }
 
   /// Ring slots per node (#rings x samples) — the quantity Theorem 5.2(a)
   /// bounds by 2^O(alpha)(log n)(log Δ). The materialized out-degree is

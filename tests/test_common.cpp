@@ -1,14 +1,18 @@
 // Unit tests for the common utilities: bit accounting, distance codec,
-// RNG determinism, stats, table/CSV formatting.
+// RNG determinism, stats, table/CSV formatting, slice parallelism.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "common/bits.h"
 #include "common/check.h"
 #include "common/csv.h"
 #include "common/distcode.h"
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/table.h"
@@ -27,6 +31,52 @@ TEST(Check, ThrowsWithContext) {
 }
 
 TEST(Check, PassesSilently) { RON_CHECK(2 + 2 == 4); }
+
+TEST(Parallel, ResolveWorkers) {
+  const unsigned cpus = available_cpus();
+  EXPECT_GE(cpus, 1u);
+  // Auto: serial below the threshold, one per available CPU above it.
+  EXPECT_EQ(resolve_workers(kMinParallelItems - 1, 0), 1u);
+  EXPECT_EQ(resolve_workers(100000, 0), cpus);
+  // Explicit counts are honored, capped at the item count.
+  EXPECT_EQ(resolve_workers(10, 7), 7u);
+  EXPECT_EQ(resolve_workers(5, 7), 5u);
+  EXPECT_EQ(resolve_workers(0, 3), 1u);
+}
+
+TEST(Parallel, SlicesCoverTheRangeInOrder) {
+  constexpr std::size_t kUnset = std::numeric_limits<std::size_t>::max();
+  for (const std::size_t n : {0, 1, 5, 10, 257}) {
+    for (const unsigned workers : {1u, 2u, 3u, 7u}) {
+      std::vector<int> hits(n, 0);
+      std::vector<std::pair<std::size_t, std::size_t>> bounds(
+          workers, {kUnset, kUnset});
+      run_slices(n, workers, [&](unsigned t, std::size_t begin,
+                                 std::size_t end) {
+        bounds[t] = {begin, end};
+        for (std::size_t i = begin; i < end; ++i) ++hits[i];
+      });
+      for (const int h : hits) EXPECT_EQ(h, 1);
+      EXPECT_EQ(bounds.front().first, 0u);
+      EXPECT_EQ(bounds.back().second, n);
+      for (unsigned t = 0; t + 1 < workers; ++t) {
+        EXPECT_EQ(bounds[t].second, bounds[t + 1].first);
+      }
+    }
+  }
+}
+
+TEST(Parallel, FirstWorkerErrorIsRethrownWithItsMessage) {
+  try {
+    run_slices(100, 4, [](unsigned t, std::size_t, std::size_t) {
+      RON_CHECK(t < 2, "slice " << t << " failed");
+    });
+    FAIL() << "expected throw";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("slice 2 failed"),
+              std::string::npos);
+  }
+}
 
 TEST(Bits, FloorCeilLog2) {
   EXPECT_EQ(floor_log2(1), 0);

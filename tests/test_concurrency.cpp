@@ -14,6 +14,9 @@
 //     single-owner lazy-clear discipline the annotations cannot express),
 //   - multi-threaded DenseProximityIndex construction (disjoint-slice handoff,
 //     results bit-identical to a serial build),
+//   - multi-threaded ring overlay construction, mutable and sealed
+//     (RingsOfNeighbors::build: per-slice rings or sealed parts handed to
+//     the spawning thread at join, results bit-identical to a serial build),
 //   - concurrent const readers (estimate/locate/current_epoch) against a
 //     dispatching thread and a maintenance thread.
 // The deterministic single-thread tests at the bottom pin the LruShard
@@ -36,6 +39,7 @@
 #include "metric/proximity.h"
 #include "oracle/engine.h"
 #include "scenario/scenario_builder.h"
+#include "smallworld/rings_model.h"
 
 // Detect instrumented builds (gcc defines __SANITIZE_*, clang speaks
 // __has_feature) so stress iteration counts shrink under sanitizers.
@@ -221,6 +225,45 @@ TEST(ConcurrencyStress, ParallelProximityBuildsAreBitIdenticalToSerial) {
       for (std::size_t i = 0; i < a.size(); ++i) {
         ASSERT_EQ(a[i].d, b[i].d);
         ASSERT_EQ(a[i].v, b[i].v);
+      }
+    }
+  }
+}
+
+// --- parallel ring overlay construction -------------------------------------
+
+TEST(ConcurrencyStress, ParallelRingBuildsAreBitIdenticalToSerial) {
+  const ScenarioSpec spec =
+      ScenarioSpec::parse("metric=geoline,n=300,base=1.01,seed=3");
+  ScenarioBuilder builder(spec, /*num_threads=*/1, ProxBackend::kSparse);
+  const MeasureView& mu = builder.overlay().measure();
+  const RingsSmallWorld serial(builder.prox(), mu, spec.ring_params(),
+                               spec.overlay_seed, 1, RingStorage::kMutable);
+  RingsOfNeighbors want = serial.rings();
+  want.seal();
+  for (std::size_t round = 0; round < kProxBuilds; ++round) {
+    for (const RingStorage storage :
+         {RingStorage::kMutable, RingStorage::kSealed}) {
+      const RingsSmallWorld parallel(builder.prox(), mu, spec.ring_params(),
+                                     spec.overlay_seed, 4, storage);
+      RingsOfNeighbors got = parallel.rings();
+      got.seal();  // no-op for kSealed
+      EXPECT_EQ(got.avg_out_degree(), want.avg_out_degree());
+      EXPECT_EQ(got.max_out_degree(), want.max_out_degree());
+      EXPECT_EQ(got.memory_bytes(), want.memory_bytes());
+      for (NodeId u = 0; u < want.n(); ++u) {
+        ASSERT_EQ(got.num_rings(u), want.num_rings(u));
+        for (std::size_t i = 0; i < want.num_rings(u); ++i) {
+          ASSERT_EQ(got.ring_scale(u, i), want.ring_scale(u, i));
+          std::vector<NodeId> a, b;
+          got.visit_ring(u, i, [&](NodeId v) { a.push_back(v); });
+          want.visit_ring(u, i, [&](NodeId v) { b.push_back(v); });
+          ASSERT_EQ(a, b) << "u=" << u << " ring=" << i;
+        }
+        std::vector<NodeId> a, b;
+        got.visit_neighbors(u, [&](NodeId v) { a.push_back(v); });
+        want.visit_neighbors(u, [&](NodeId v) { b.push_back(v); });
+        ASSERT_EQ(a, b) << "u=" << u;
       }
     }
   }

@@ -1,5 +1,6 @@
 // Differential and guardrail tests for the sparse proximity backend, the
-// compact (sealed) ring storage, and the streaming snapshot path.
+// compact (sealed) ring storage, the parallel ring build, and the
+// streaming snapshot path.
 //
 // The load-bearing contract: SparseProximityIndex answers every portable
 // ProximityIndex query bit-identically to DenseProximityIndex — not
@@ -11,13 +12,17 @@
 // must serialize to byte-identical ring and directory snapshots.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <iterator>
 #include <string>
 #include <vector>
 
 #include "common/check.h"
+#include "common/rng.h"
 #include "churn/overlay_mutator.h"
 #include "core/rings.h"
 #include "metric/dense_metric.h"
@@ -27,6 +32,7 @@
 #include "scenario/metric_registry.h"
 #include "scenario/scenario_builder.h"
 #include "scenario/scenario_spec.h"
+#include "smallworld/rings_model.h"
 #include "served/served_state.h"
 
 namespace ron {
@@ -486,6 +492,353 @@ TEST(StreamingSnapshot, V1RingsStillLoad) {
   ASSERT_EQ(loaded.n(), rings.n());
   for (NodeId u = 0; u < loaded.n(); ++u) {
     ASSERT_EQ(loaded.num_rings(u), rings.num_rings(u));
+  }
+}
+
+// --- Parallel ring builds ----------------------------------------------------
+//
+// RingsOfNeighbors::build samples nodes over contiguous slices on several
+// workers and can encode straight into sealed storage. Every case compares
+// against the serial mutable build followed by seal(), and the overlays
+// are additionally pinned to fingerprints recorded from the serial
+// add_ring build the bulk entry point replaced.
+
+constexpr unsigned kThreadCounts[] = {1, 2, 3, 7};
+constexpr RingStorage kStorages[] = {RingStorage::kMutable,
+                                     RingStorage::kSealed};
+
+const char* storage_name(RingStorage storage) {
+  return storage == RingStorage::kSealed ? "sealed" : "mutable";
+}
+
+std::vector<NodeId> ring_members(const RingsOfNeighbors& rings, NodeId u,
+                                 std::size_t i) {
+  std::vector<NodeId> out;
+  rings.visit_ring(u, i, [&](NodeId v) { out.push_back(v); });
+  return out;
+}
+
+std::vector<NodeId> neighbor_union(const RingsOfNeighbors& rings, NodeId u) {
+  std::vector<NodeId> out;
+  rings.visit_neighbors(u, [&](NodeId v) { out.push_back(v); });
+  return out;
+}
+
+/// Every ring's scale and members, every neighbor union and out-degree,
+/// and the degree totals agree (either storage mode on either side).
+void expect_same_rings(const RingsOfNeighbors& got,
+                       const RingsOfNeighbors& want) {
+  ASSERT_EQ(got.n(), want.n());
+  EXPECT_EQ(got.avg_out_degree(), want.avg_out_degree());
+  EXPECT_EQ(got.max_out_degree(), want.max_out_degree());
+  for (NodeId u = 0; u < want.n(); ++u) {
+    ASSERT_EQ(got.num_rings(u), want.num_rings(u)) << "u=" << u;
+    ASSERT_EQ(got.out_degree(u), want.out_degree(u)) << "u=" << u;
+    for (std::size_t i = 0; i < want.num_rings(u); ++i) {
+      ASSERT_EQ(got.ring_scale(u, i), want.ring_scale(u, i))
+          << "u=" << u << " ring=" << i;
+      ASSERT_EQ(ring_members(got, u, i), ring_members(want, u, i))
+          << "u=" << u << " ring=" << i;
+    }
+    ASSERT_EQ(neighbor_union(got, u), neighbor_union(want, u)) << "u=" << u;
+  }
+}
+
+/// Mutable-only views: the rings() spans and all_neighbors() caches.
+void expect_same_mutable_views(const RingsOfNeighbors& got,
+                               const RingsOfNeighbors& want) {
+  for (NodeId u = 0; u < want.n(); ++u) {
+    const auto a = got.rings(u);
+    const auto b = want.rings(u);
+    ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
+        << "u=" << u;
+    ASSERT_EQ(got.all_neighbors(u), want.all_neighbors(u)) << "u=" << u;
+  }
+}
+
+std::vector<char> rings_bytes(const RingsOfNeighbors& rings,
+                              const std::string& tag) {
+  TempFile snap(tag);
+  save_rings(rings, snap.path());
+  return slurp(snap.path());
+}
+
+std::vector<char> directory_bytes(const ScenarioSpec& spec,
+                                  const ObjectDirectory& dir,
+                                  const std::string& tag) {
+  TempFile snap(tag);
+  save_directory(spec, dir, snap.path());
+  return slurp(snap.path());
+}
+
+struct ParallelCase {
+  std::string spec;
+  ProxBackend backend;
+};
+
+// geoline, ring and clustered on the sparse backend plus a graph family on
+// the dense one, three seeds each. No n is a multiple of 2, 3 or 7 (257
+// and 131 are prime, clustered rounds to 5 x 19 = 95), and the n=5 line
+// has fewer nodes than the largest thread count.
+std::vector<ParallelCase> parallel_cases() {
+  std::vector<ParallelCase> cases;
+  for (const char* seed : {"1", "5", "9"}) {
+    const std::string s = std::string(",seed=") + seed;
+    cases.push_back({"metric=geoline,n=257,base=1.01" + s,
+                     ProxBackend::kSparse});
+    cases.push_back({"metric=ring,n=257" + s, ProxBackend::kSparse});
+    cases.push_back({"metric=clustered,n=95,per_cluster=19" + s,
+                     ProxBackend::kSparse});
+    cases.push_back({"metric=geograph,n=131" + s, ProxBackend::kDense});
+  }
+  cases.push_back({"metric=geoline,n=5,base=1.3,seed=2",
+                   ProxBackend::kSparse});
+  return cases;
+}
+
+TEST(ParallelRings, EveryThreadCountAndStorageMatchesSerialThenSeal) {
+  for (const ParallelCase& c : parallel_cases()) {
+    SCOPED_TRACE(c.spec);
+    const ScenarioSpec spec = ScenarioSpec::parse(c.spec);
+    ScenarioBuilder serial_builder(spec, 1, c.backend);
+    const MeasureView& mu = serial_builder.overlay().measure();
+    const ProximityIndex& prox = serial_builder.prox();
+    const RingsSmallWorld serial(prox, mu, spec.ring_params(),
+                                 spec.overlay_seed, 1, RingStorage::kMutable);
+    RingsOfNeighbors serial_sealed = serial.rings();
+    serial_sealed.seal();
+    const std::vector<char> want_rings =
+        rings_bytes(serial_sealed, "par_want");
+    const std::vector<char> want_dir = directory_bytes(
+        spec, serial_builder.make_directory(16, 2), "par_want_dir");
+    for (const unsigned threads : kThreadCounts) {
+      for (const RingStorage storage : kStorages) {
+        SCOPED_TRACE(::testing::Message() << "threads=" << threads << " "
+                                          << storage_name(storage));
+        const RingsSmallWorld model(prox, mu, spec.ring_params(),
+                                    spec.overlay_seed, threads, storage);
+        const RingsOfNeighbors& got = model.rings();
+        ASSERT_EQ(got.sealed(), storage == RingStorage::kSealed);
+        ASSERT_NO_FATAL_FAILURE(expect_same_rings(got, serial_sealed));
+        EXPECT_EQ(rings_bytes(got, "par_got"), want_rings);
+        if (storage == RingStorage::kMutable) {
+          ASSERT_NO_FATAL_FAILURE(
+              expect_same_mutable_views(got, serial.rings()));
+          EXPECT_EQ(got.memory_bytes(), serial.rings().memory_bytes());
+          RingsOfNeighbors sealed = got;
+          sealed.seal();
+          EXPECT_EQ(sealed.memory_bytes(), serial_sealed.memory_bytes());
+        } else {
+          EXPECT_EQ(got.memory_bytes(), serial_sealed.memory_bytes());
+        }
+      }
+      // The builder picks the storage (sealed iff sparse) and passes its
+      // thread count through to the overlay.
+      ScenarioBuilder builder(spec, threads, c.backend);
+      EXPECT_EQ(builder.rings().sealed(), builder.sparse_backend());
+      EXPECT_EQ(rings_bytes(builder.rings(), "par_builder"), want_rings);
+      EXPECT_EQ(
+          directory_bytes(spec, builder.make_directory(16, 2), "par_dir"),
+          want_dir);
+    }
+  }
+}
+
+TEST(ParallelRings, BulkBuildEqualsAddRingPerRing) {
+  // Unsorted members with repeats and a ring count that varies per node:
+  // build() must canonicalize and account exactly like add_ring.
+  for (const std::size_t n : {std::size_t{1}, std::size_t{5},
+                              std::size_t{257}}) {
+    SCOPED_TRACE(::testing::Message() << "n=" << n);
+    const Rng root(42);
+    const RingSampler sample = [&](NodeId u, std::vector<Ring>& out) {
+      Rng rng = root.fork(u);
+      const std::size_t count = 1 + rng.index(4);
+      for (std::size_t r = 0; r < count; ++r) {
+        Ring ring;
+        ring.scale = static_cast<double>(r) + 0.5 * u;
+        const std::size_t members = 1 + rng.index(9);
+        for (std::size_t k = 0; k < members; ++k) {
+          ring.members.push_back(static_cast<NodeId>(rng.index(n)));
+        }
+        out.push_back(std::move(ring));
+      }
+    };
+    RingsOfNeighbors reference(n);
+    for (NodeId u = 0; u < n; ++u) {
+      std::vector<Ring> rings;
+      sample(u, rings);
+      for (Ring& ring : rings) reference.add_ring(u, std::move(ring));
+    }
+    RingsOfNeighbors reference_sealed = reference;
+    reference_sealed.seal();
+    const std::vector<char> want = rings_bytes(reference_sealed, "bulk_ref");
+    for (const unsigned threads : kThreadCounts) {
+      for (const RingStorage storage : kStorages) {
+        SCOPED_TRACE(::testing::Message() << "threads=" << threads << " "
+                                          << storage_name(storage));
+        const RingsOfNeighbors got =
+            RingsOfNeighbors::build(n, sample, storage, threads);
+        ASSERT_NO_FATAL_FAILURE(expect_same_rings(got, reference_sealed));
+        EXPECT_EQ(rings_bytes(got, "bulk_got"), want);
+        if (storage == RingStorage::kMutable) {
+          ASSERT_NO_FATAL_FAILURE(expect_same_mutable_views(got, reference));
+          EXPECT_EQ(got.memory_bytes(), reference.memory_bytes());
+        } else {
+          EXPECT_EQ(got.memory_bytes(), reference_sealed.memory_bytes());
+        }
+      }
+    }
+  }
+}
+
+/// FNV-1a over every ring's count, scale bits and members — storage- and
+/// wire-format-independent.
+std::uint64_t overlay_digest(const RingsOfNeighbors& rings) {
+  std::uint64_t h = 1469598103934665603ULL;
+  auto mix = [&](std::uint64_t x) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (x >> (8 * i)) & 0xff;
+      h *= 1099511628211ULL;
+    }
+  };
+  for (NodeId u = 0; u < rings.n(); ++u) {
+    mix(rings.num_rings(u));
+    for (std::size_t i = 0; i < rings.num_rings(u); ++i) {
+      const double scale = rings.ring_scale(u, i);
+      std::uint64_t bits = 0;
+      std::memcpy(&bits, &scale, sizeof(bits));
+      mix(bits);
+      rings.visit_ring(u, i, [&](NodeId v) { mix(v); });
+    }
+  }
+  return h;
+}
+
+TEST(ParallelRings, OverlaysMatchSerialAddRingFingerprints) {
+  // Recorded from the serial add_ring build (kAuto: dense, mutable).
+  struct Pin {
+    const char* spec;
+    std::uint64_t digest;
+    double avg_degree;
+    std::size_t max_degree;
+    std::uint64_t mutable_bytes;
+  };
+  const Pin pins[] = {
+      {"metric=geoline,n=600,base=1.005,seed=4", 12607983873056188966ULL,
+       148.25333333333333, 181, 2057936},
+      {"metric=ring,n=256,seed=9", 9665648246958661318ULL, 93.66796875, 108,
+       654184},
+      {"metric=clustered,n=96,seed=3,overlay_seed=41",
+       9444772683109065754ULL, 49.3125, 62, 247652},
+      {"metric=geograph,n=128,seed=2", 15648498853389599017ULL, 58.9453125,
+       68, 292424},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(pin.spec);
+    const ScenarioSpec spec = ScenarioSpec::parse(pin.spec);
+    ScenarioBuilder builder(spec, 1);
+    const MeasureView& mu = builder.overlay().measure();
+    for (const unsigned threads : {1u, 3u}) {
+      for (const RingStorage storage : kStorages) {
+        const RingsSmallWorld model(builder.prox(), mu, spec.ring_params(),
+                                    spec.overlay_seed, threads, storage);
+        EXPECT_EQ(overlay_digest(model.rings()), pin.digest);
+        EXPECT_EQ(model.rings().avg_out_degree(), pin.avg_degree);
+        EXPECT_EQ(model.rings().max_out_degree(), pin.max_degree);
+        if (storage == RingStorage::kMutable) {
+          EXPECT_EQ(model.rings().memory_bytes(), pin.mutable_bytes);
+        }
+      }
+    }
+  }
+}
+
+TEST(ParallelRings, WorkerFailureSurfacesAsRonError) {
+  const std::size_t n = 300;
+  // add_ring's member range check, tripped by the last node (last worker).
+  const RingSampler bad_member = [&](NodeId u, std::vector<Ring>& out) {
+    out.push_back(Ring{1.0, {u, u == n - 1 ? static_cast<NodeId>(n) : u}});
+  };
+  // The sampler's own check, failing in a middle worker.
+  const RingSampler refusing = [&](NodeId u, std::vector<Ring>& out) {
+    RON_CHECK(u != n / 2, "sampler refused node " << u);
+    out.push_back(Ring{1.0, {u}});
+  };
+  for (const unsigned threads : kThreadCounts) {
+    for (const RingStorage storage : kStorages) {
+      SCOPED_TRACE(::testing::Message() << "threads=" << threads << " "
+                                        << storage_name(storage));
+      try {
+        RingsOfNeighbors::build(n, bad_member, storage, threads);
+        ADD_FAILURE() << "out-of-range member accepted";
+      } catch (const Error& e) {
+        EXPECT_NE(std::string(e.what()).find("ring member out of range"),
+                  std::string::npos)
+            << e.what();
+      }
+      try {
+        RingsOfNeighbors::build(n, refusing, storage, threads);
+        ADD_FAILURE() << "sampler failure swallowed";
+      } catch (const Error& e) {
+        EXPECT_NE(std::string(e.what()).find("sampler refused node 150"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+  }
+}
+
+TEST(MeasureDraw, BatchedPicksMatchSingleDrawRecording) {
+  // Picks and the next engine output recorded from the one-draw-per-call
+  // sample_in_ball that the batched draw replaced: runs-backed balls
+  // (geoline) and id-backed balls (euclid on either backend, a graph
+  // family on the dense one).
+  struct Pin {
+    const char* spec;
+    ProxBackend backend;
+    NodeId u;
+    int j;  // radius dmin * 2^j
+    std::uint64_t seed;
+    bool runs_backed;
+    std::vector<NodeId> picks;
+    std::uint64_t next;
+  };
+  const Pin pins[] = {
+      {"metric=geoline,n=300,base=1.01,seed=5", ProxBackend::kSparse, 17, 4,
+       5, true, {21, 7, 16, 6, 7, 5, 24, 11, 6, 7, 3, 11},
+       14020140076994159260ULL},
+      {"metric=geoline,n=300,base=1.01,seed=5", ProxBackend::kSparse, 250, 6,
+       6, true, {253, 254, 245, 245, 254, 252, 252, 253, 255, 255, 248, 245},
+       12108924429184830602ULL},
+      {"metric=euclid,n=200,dim=3,seed=9", ProxBackend::kDense, 5, 8, 7,
+       false, {181, 134, 16, 176, 26, 85, 136, 176, 111, 7, 102, 136},
+       898881130512272997ULL},
+      {"metric=euclid,n=200,dim=3,seed=9", ProxBackend::kSparse, 5, 8, 7,
+       false, {181, 134, 16, 176, 26, 85, 136, 176, 111, 7, 102, 136},
+       898881130512272997ULL},
+      {"metric=geograph,n=128,seed=2", ProxBackend::kDense, 40, 6, 8, false,
+       {48, 104, 56, 21, 104, 56, 21, 112, 21, 112, 3, 106},
+       13952508559781710859ULL},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(::testing::Message() << pin.spec << " u=" << pin.u);
+    ScenarioBuilder builder(ScenarioSpec::parse(pin.spec), 1, pin.backend);
+    const MeasureView& mu = builder.overlay().measure();
+    const Dist r = builder.prox().dmin() * std::ldexp(1.0, pin.j);
+    ASSERT_EQ(builder.prox().ball_ids(pin.u, r).runs_backed(),
+              pin.runs_backed);
+    Rng batched(pin.seed);
+    EXPECT_EQ(mu.sample_in_ball(pin.u, r, pin.picks.size(), batched),
+              pin.picks);
+    EXPECT_EQ(batched.engine()(), pin.next);
+    // Splitting the batch changes nothing: the stream advances one
+    // uniform per draw either way.
+    Rng split(pin.seed);
+    std::vector<NodeId> picks = mu.sample_in_ball(pin.u, r, 5, split);
+    for (NodeId v : mu.sample_in_ball(pin.u, r, 7, split)) picks.push_back(v);
+    EXPECT_EQ(picks, pin.picks);
+    EXPECT_EQ(split.engine()(), pin.next);
   }
 }
 

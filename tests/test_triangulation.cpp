@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "common/check.h"
 #include "common/distcode.h"
@@ -25,6 +26,14 @@ struct TriCase {
   const char* name;
   double delta;
 };
+
+// Without a printer gtest dumps the raw bytes of the struct — including the
+// `name` pointer, which ASLR moves on every run — into the
+// `# GetParam() = ...` comment that ctest's test discovery keeps in the test
+// name, so each build registered these cases under different names.
+void PrintTo(const TriCase& c, std::ostream* os) {
+  *os << c.name << " (delta " << c.delta << ")";
+}
 
 class TriangulationGuarantee
     : public ::testing::TestWithParam<TriCase> {};

@@ -54,6 +54,8 @@ expect_failure(${SERVED_EXE} 1 FALSE "bad --port: 'seven'"
   "${WORK_DIR}/x.ron" --port seven)
 expect_failure(${SERVED_EXE} 1 FALSE "--port 99999 exceeds 65535"
   "${WORK_DIR}/x.ron" --port 99999)
+expect_failure(${SERVED_EXE} 1 FALSE "--build-threads 5000 exceeds 1024"
+  "${WORK_DIR}/x.ron" --build-threads 5000)
 expect_failure(${SERVED_EXE} 1 FALSE "cannot open"
   "${WORK_DIR}/served_cli_does_not_exist.ron")
 

@@ -50,7 +50,8 @@ int usage(std::ostream& os) {
         "  --threads N            engine worker threads (default 1)\n"
         "  --cache N              engine result-cache capacity (default 0)\n"
         "  --build-threads N      overlay rebuild threads for directory/\n"
-        "                         bundle snapshots (default 1)\n"
+        "                         bundle snapshots; 0 = one per available\n"
+        "                         core (default 0)\n"
         "  --backend B            proximity backend for the overlay rebuild\n"
         "                         (auto|dense|sparse, default dense; sparse\n"
         "                         serves million-node directories statically\n"
@@ -99,10 +100,11 @@ int run(int argc, char** argv) {
             "--threads must be at least 1");
   state_opts.engine.cache_capacity =
       parse_u64(args.get("cache", "0"), "--cache");
-  state_opts.build_threads = static_cast<unsigned>(
-      parse_u64(args.get("build-threads", "1"), "--build-threads"));
-  RON_CHECK(state_opts.build_threads >= 1,
-            "--build-threads must be at least 1");
+  const std::uint64_t build_threads =
+      parse_u64(args.get("build-threads", "0"), "--build-threads");
+  RON_CHECK(build_threads <= 1024,
+            "--build-threads " << build_threads << " exceeds 1024");
+  state_opts.build_threads = static_cast<unsigned>(build_threads);
   state_opts.backend = parse_prox_backend(args.get("backend", "dense"));
   if (args.has("max-hops")) {
     state_opts.locate.max_hops =

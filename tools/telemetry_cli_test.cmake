@@ -46,7 +46,10 @@ run_ok(check_out ${PYTHON_EXE} ${CHECKER} ${WORK_DIR}/telemetry_m.json
   --require ron_engine_locate_hop_bound
   --require ron_build_prox_seconds
   --require ron_build_labeling_seconds
-  --require ron_build_overlay_seconds)
+  --require ron_build_overlay_seconds
+  --require ron_build_nets_seconds
+  --require ron_build_measure_seconds
+  --require ron_build_rings_seconds)
 if(NOT bench_out MATCHES "\"locate_queries\":")
   message(FATAL_ERROR "bench --scenario did not report a locate phase:\n"
     "${bench_out}")
