@@ -15,6 +15,7 @@
 // RON_BENCH_QUICK=1 (or --quick) shrinks the workload to CI-smoke size.
 #include <algorithm>
 #include <iostream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -59,20 +60,28 @@ std::vector<LocateQuery> random_locates(std::size_t count, std::size_t n,
   return queries;
 }
 
-double run_locate_qps(const LocationService& svc, unsigned threads,
-                      std::size_t cache, std::span<const LocateQuery> queries,
+/// An epoch serving `svc`; the caller keeps the service's index, rings and
+/// directory alive for as long as the epoch is served.
+std::shared_ptr<const LocationEpoch> epoch_of(
+    std::shared_ptr<const LocationService> svc) {
+  auto epoch = std::make_shared<LocationEpoch>();
+  epoch->service = std::move(svc);
+  return epoch;
+}
+
+double run_locate_qps(const std::shared_ptr<const LocationEpoch>& epoch,
+                      unsigned threads, std::size_t cache,
+                      std::span<const LocateQuery> queries,
                       std::size_t batch) {
   OracleOptions opts;
   opts.num_threads = threads;
   opts.cache_capacity = cache;
-  OracleEngine engine(svc, opts);
-  double seconds = 0.0;
+  OracleEngine engine(epoch, opts);
   for (std::size_t off = 0; off < queries.size(); off += batch) {
     const std::size_t count = std::min(batch, queries.size() - off);
     engine.locate_batch(queries.subspan(off, count));
-    seconds += engine.last_batch_stats().seconds;
   }
-  return seconds > 0.0 ? static_cast<double>(queries.size()) / seconds : 0.0;
+  return engine.totals().qps();
 }
 
 CaseResult run_case(const std::string& key, const std::string& spec,
@@ -88,7 +97,8 @@ CaseResult run_case(const std::string& key, const std::string& spec,
   for (std::size_t k = 0; k < objects; ++k) {
     dir.publish_random("obj" + std::to_string(k), replicas, rng);
   }
-  LocationService svc(prox, overlay.rings(), dir);
+  const auto epoch = epoch_of(
+      std::make_shared<const LocationService>(prox, overlay.rings(), dir));
 
   CaseResult res;
   res.key = key;
@@ -101,7 +111,7 @@ CaseResult run_case(const std::string& key, const std::string& spec,
   // Correctness sweep through the engine (single worker = serial ground
   // truth; engine results are thread-count-invariant, so these numbers
   // also describe the QPS runs below).
-  OracleEngine check(svc, OracleOptions{1, 0});
+  OracleEngine check(epoch, OracleOptions{1, 0});
   const std::vector<LocateResult> results = check.locate_batch(queries);
   std::vector<double> hop_samples;
   hop_samples.reserve(results.size());
@@ -116,12 +126,13 @@ CaseResult run_case(const std::string& key, const std::string& spec,
   }
   res.hops = summarize(std::move(hop_samples));
 
-  res.qps = run_locate_qps(svc, 8, 0, queries, batch);
+  res.qps = run_locate_qps(epoch, 8, 0, queries, batch);
   // Replay the workload through a cache sized to hold it: steady-state
   // serving of a hot object set.
   std::vector<LocateQuery> doubled(queries.begin(), queries.end());
   doubled.insert(doubled.end(), queries.begin(), queries.end());
-  res.cached_qps = run_locate_qps(svc, 8, 2 * num_queries, doubled, batch);
+  res.cached_qps =
+      run_locate_qps(epoch, 8, 2 * num_queries, doubled, batch);
   return res;
 }
 
@@ -192,15 +203,17 @@ int main(int argc, char** argv) {
   for (std::size_t k = 0; k < objects; ++k) {
     foil_dir.publish_random("obj" + std::to_string(k), 1, foil_rng);
   }
-  LocationService svc_xy(foil_prox, xy.rings(), foil_dir);
-  LocationService svc_yo(foil_prox, yo.rings(), foil_dir);
+  const auto epoch_xy = epoch_of(std::make_shared<const LocationService>(
+      foil_prox, xy.rings(), foil_dir));
+  const auto epoch_yo = epoch_of(std::make_shared<const LocationService>(
+      foil_prox, yo.rings(), foil_dir));
   const std::vector<LocateQuery> foil_queries =
       random_locates(quick ? 500 : 4000, foil_n, objects, foil_rng);
   double hops_xy = 0.0;
   double hops_yo = 0.0;
   {
-    OracleEngine exy(svc_xy, OracleOptions{1, 0});
-    OracleEngine eyo(svc_yo, OracleOptions{1, 0});
+    OracleEngine exy(epoch_xy, OracleOptions{1, 0});
+    OracleEngine eyo(epoch_yo, OracleOptions{1, 0});
     for (const LocateResult& r : exy.locate_batch(foil_queries)) {
       hops_xy += static_cast<double>(r.hops);
     }

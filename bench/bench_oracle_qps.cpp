@@ -6,8 +6,9 @@
 //   (1) round-trip fidelity: save -> load -> estimate is bit-identical to
 //       the in-memory labeling on EVERY pair of a full n^2 sweep;
 //   (2) batched QPS scales with the engine's worker threads (the headline
-//       figure is qps at 8 workers vs 1 — note the speedup is bounded by
-//       the machine's core count, which is stamped into the output);
+//       figure is qps at the top worker count vs 1; the sweep doubles from
+//       1 and stops at one worker per available CPU, never oversubscribing,
+//       and stamps the CPU count into the output);
 //   (3) a bounded LRU cache turns repeated traffic into hits.
 //
 // RON_BENCH_QUICK=1 (or --quick) shrinks the workload to CI-smoke size.
@@ -19,6 +20,7 @@
 
 #include "analysis/report.h"
 #include "common/csv.h"
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "common/table.h"
 #include "oracle/engine.h"
@@ -36,17 +38,15 @@ double run_qps(const DistanceLabeling& labeling, unsigned threads,
   opts.num_threads = threads;
   opts.cache_capacity = cache;
   OracleEngine engine(labeling, opts);
-  double seconds = 0.0;
-  if (hits != nullptr) *hits = 0;
   for (std::size_t off = 0; off < pairs.size(); off += batch) {
     const std::size_t count = std::min(batch, pairs.size() - off);
     engine.estimate_batch(pairs.subspan(off, count));
-    seconds += engine.last_batch_stats().seconds;
-    if (hits != nullptr) *hits += engine.last_batch_stats().cache_hits;
   }
+  const EngineTotals totals = engine.totals();
+  if (hits != nullptr) *hits = totals.cache_hits;
   // ron_engine_* registry JSON of this run, for the artifact line.
   if (telemetry != nullptr) *telemetry = engine.metrics().to_json();
-  return seconds > 0.0 ? static_cast<double>(pairs.size()) / seconds : 0.0;
+  return totals.qps();
 }
 
 }  // namespace
@@ -85,7 +85,13 @@ int main(int argc, char** argv) {
             << " mismatches (save -> load -> estimate must be "
                "bit-identical)\n\n";
 
-  // (2) Thread sweep on one shared random workload.
+  // (2) Thread sweep on one shared random workload: 1, 2, 4, ... workers,
+  // ending at exactly one per available CPU.
+  const unsigned cpus = available_cpus();
+  std::vector<unsigned> sweep;
+  for (unsigned w = 1; w < cpus; w *= 2) sweep.push_back(w);
+  sweep.push_back(cpus);
+  const unsigned top = sweep.back();
   const std::size_t queries = quick ? 20000 : 200000;
   const std::size_t batch = 8192;
   Rng rng(99);
@@ -95,14 +101,14 @@ int main(int argc, char** argv) {
                 {"threads", "cache", "qps", "speedup", "cache_hits"});
   ConsoleTable table({"workers", "qps", "speedup vs 1"});
   double qps1 = 0.0;
-  double qps8 = 0.0;
+  double qps_top = 0.0;
   std::string telemetry1;  // single-worker engine registry JSON
-  for (unsigned threads : {1u, 2u, 4u, 8u}) {
+  for (unsigned threads : sweep) {
     const double qps =
         run_qps(loaded.labeling, threads, 0, pairs, batch, nullptr,
                 threads == 1 ? &telemetry1 : nullptr);
     if (threads == 1) qps1 = qps;
-    if (threads == 8) qps8 = qps;
+    if (threads == top) qps_top = qps;
     table.add_row({std::to_string(threads), fmt_double(qps, 0),
                    fmt_double(qps / qps1, 2)});
     csv.add_row({std::to_string(threads), "0", std::to_string(qps),
@@ -116,18 +122,20 @@ int main(int argc, char** argv) {
   doubled.insert(doubled.end(), pairs.begin(), pairs.end());
   std::size_t hits = 0;
   const double qps_cached =
-      run_qps(loaded.labeling, 8, 2 * queries, doubled, batch, &hits);
-  std::cout << "\n8 workers + LRU(" << 2 * queries << "): replayed workload, "
-            << hits << "/" << doubled.size() << " cache hits, "
-            << fmt_double(qps_cached, 0) << " qps\n";
-  csv.add_row({"8", std::to_string(2 * queries), std::to_string(qps_cached),
-               std::to_string(qps_cached / qps1), std::to_string(hits)});
+      run_qps(loaded.labeling, top, 2 * queries, doubled, batch, &hits);
+  std::cout << "\n" << top << " workers + LRU(" << 2 * queries
+            << "): replayed workload, " << hits << "/" << doubled.size()
+            << " cache hits, " << fmt_double(qps_cached, 0) << " qps\n";
+  csv.add_row({std::to_string(top), std::to_string(2 * queries),
+               std::to_string(qps_cached), std::to_string(qps_cached / qps1),
+               std::to_string(hits)});
 
   std::cout << "\n{\"bench\":\"oracle_qps\",\"n\":" << n
             << ",\"queries\":" << queries << ",\"quick\":" << (quick ? 1 : 0)
             << ",\"roundtrip_mismatches\":" << mismatches
-            << ",\"qps_1\":" << qps1 << ",\"qps_8\":" << qps8
-            << ",\"speedup_8\":" << (qps1 > 0.0 ? qps8 / qps1 : 0.0)
+            << ",\"cpus\":" << cpus << ",\"top_workers\":" << top
+            << ",\"qps_1\":" << qps1 << ",\"qps_top\":" << qps_top
+            << ",\"speedup_top\":" << (qps1 > 0.0 ? qps_top / qps1 : 0.0)
             << ",\"cached_qps\":" << qps_cached << ",\"cache_hits\":" << hits
             << ",\"telemetry\":" << telemetry1 << "}\n";
   std::cout << "CSV written to bench_oracle_qps.csv\n";

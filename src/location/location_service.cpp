@@ -8,32 +8,6 @@
 
 namespace ron {
 
-namespace {
-
-/// greedy_next_hop over a ring container in either storage mode. Visits
-/// u's distinct neighbors in ascending id order — exactly the order of the
-/// mutable mode's all_neighbors() span — with the same strict-progress /
-/// lowest-id tie-break as the span overload, so the walk is bit-identical
-/// on sealed (compact) and mutable rings.
-NodeId greedy_next_hop_rings(const MetricSpace& d,
-                             const RingsOfNeighbors& rings, NodeId u,
-                             NodeId t) {
-  const Dist dut = d.distance(u, t);
-  NodeId best = kInvalidNode;
-  Dist best_d = dut;  // must make strict progress
-  rings.visit_neighbors(u, [&](NodeId c) {
-    if (c == u) return;
-    const Dist dct = c == t ? 0.0 : d.distance(c, t);
-    if (dct < best_d || (dct == best_d && best != kInvalidNode && c < best)) {
-      best = c;
-      best_d = dct;
-    }
-  });
-  return best;
-}
-
-}  // namespace
-
 std::size_t location_hop_bound(std::size_t n) {
   RON_CHECK(n >= 1, "n=" << n);
   const auto log_n = static_cast<std::size_t>(
@@ -88,8 +62,11 @@ LocateResult LocationService::locate(NodeId querier, ObjectId obj,
   NodeId cur = querier;
   while (cur != target) {
     if (r.hops >= opts.max_hops) return r;  // undelivered
-    const NodeId next =
-        greedy_next_hop_rings(prox_.metric(), rings_, cur, target);
+    // visit_neighbors yields the same contacts in either storage mode
+    // (sealed or mutable), so the walk is bit-identical on both.
+    const NodeId next = greedy_next_hop(
+        prox_.metric(), cur, target,
+        [&](auto&& visit) { rings_.visit_neighbors(cur, visit); });
     if (next == kInvalidNode || next == cur) return r;  // stuck
     if (trace != nullptr) {
       // Only the traced (sampled) walks pay the ring-level scan.

@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "common/check.h"
+#include "common/parallel.h"
 
 namespace ron {
 namespace {
@@ -49,10 +50,9 @@ OracleEngine::OracleEngine(OracleOptions opts)
               "OracleEngine: " << opts.num_threads << " threads");
     workers_ = opts.num_threads;
   } else {
-    // Auto mode: one per hardware thread, clamped (not rejected) on very
+    // Auto mode: one per available CPU, clamped (not rejected) on very
     // large hosts.
-    workers_ = std::min(256u, std::max(1u,
-                                       std::thread::hardware_concurrency()));
+    workers_ = std::min(256u, available_cpus());
   }
   // Per-worker cache shards; at least one entry each when caching is on.
   cache_capacity_per_shard_ =
@@ -106,17 +106,11 @@ OracleEngine::OracleEngine(DistanceLabeling labeling, OracleOptions opts)
   labeling_ = std::move(labeling);
 }
 
-OracleEngine::OracleEngine(const LocationService& svc, OracleOptions opts,
-                           LocateOptions locate_opts)
-    : OracleEngine(opts) {
-  attach_location(svc, locate_opts);
-}
-
 OracleEngine::OracleEngine(std::shared_ptr<const LocationEpoch> epoch,
                            OracleOptions opts, LocateOptions locate_opts)
     : OracleEngine(opts) {
   locate_opts_ = locate_opts;
-  set_epoch(std::move(epoch), /*require_new_id=*/false);
+  apply(std::move(epoch));
 }
 
 OracleEngine::~OracleEngine() {
@@ -149,27 +143,19 @@ std::shared_ptr<const LocationEpoch> OracleEngine::current_epoch() const {
   std::shared_ptr<const LocationEpoch> epoch;
   {
     MutexLock lk(epoch_mu_);
-    if constexpr (kTelemetryEnabled) {
-      const Stopwatch hold(*clock_);
-      epoch = epoch_;
-      hold_ns = hold.elapsed_ns();
-    } else {
-      epoch = epoch_;
-    }
+    const Stopwatch hold(*clock_);
+    epoch = epoch_;
+    hold_ns = hold.elapsed_ns();
   }
-  if constexpr (kTelemetryEnabled) {
-    m_epoch_mu_hold_seconds_->record(workers_,
-                                     static_cast<double>(hold_ns) * 1e-9);
-  }
+  m_epoch_mu_hold_seconds_->record(workers_,
+                                   static_cast<double>(hold_ns) * 1e-9);
   return epoch;
 }
 
-void OracleEngine::set_epoch(std::shared_ptr<const LocationEpoch> epoch,
-                             bool require_new_id) {
+void OracleEngine::apply(std::shared_ptr<const LocationEpoch> epoch) {
   // Swap duration covers validation + the guarded swap; the epoch_mu_ hold
   // time covers only the critical section. Both recorded after the unlock.
-  std::optional<Stopwatch> swap_watch;
-  if constexpr (kTelemetryEnabled) swap_watch.emplace(*clock_);
+  const Stopwatch swap_watch(*clock_);
   RON_CHECK(epoch != nullptr && epoch->service != nullptr,
             "OracleEngine: epoch must carry a location service");
   RON_CHECK(!labeling_.has_value() || labeling_->n() == epoch->service->n(),
@@ -180,8 +166,7 @@ void OracleEngine::set_epoch(std::shared_ptr<const LocationEpoch> epoch,
   std::uint64_t hold_ns = 0;
   {
     MutexLock lk(epoch_mu_);
-    std::optional<Stopwatch> hold_watch;
-    if constexpr (kTelemetryEnabled) hold_watch.emplace(*clock_);
+    const Stopwatch hold_watch(*clock_);
     if (epoch_ != nullptr) {
       RON_CHECK(epoch_->service->n() == epoch->service->n(),
                 "OracleEngine: epoch over " << epoch->service->n()
@@ -192,39 +177,21 @@ void OracleEngine::set_epoch(std::shared_ptr<const LocationEpoch> epoch,
       // increase (not merely differ), or an id reused across sources (e.g.
       // epochs from two different mutators, both of which number from 1)
       // could silently serve the old epoch's cached results.
-      RON_CHECK(!require_new_id || epoch->id > epoch_->id,
+      RON_CHECK(epoch->id > epoch_->id,
                 "OracleEngine: epoch id " << epoch->id
                                           << " must exceed the current epoch's "
                                           << epoch_->id);
     }
     epoch_ = std::move(epoch);
-    if constexpr (kTelemetryEnabled) hold_ns = hold_watch->elapsed_ns();
+    hold_ns = hold_watch.elapsed_ns();
   }
-  if constexpr (kTelemetryEnabled) {
-    m_epoch_mu_hold_seconds_->record(workers_,
-                                     static_cast<double>(hold_ns) * 1e-9);
-    m_epoch_swaps_->add(workers_);
-    m_epoch_swap_seconds_->record(workers_, swap_watch->elapsed_seconds());
-    // Visible yardstick for the violation counter (Theorem 5.2(a)'s
-    // 4*ceil(log2 n)+8 for the current epoch's node count).
-    m_hop_bound_->set(static_cast<double>(hop_bound));
-  }
-}
-
-void OracleEngine::attach_location(const LocationService& svc,
-                                   LocateOptions locate_opts) {
-  RON_CHECK(current_epoch() == nullptr,
-            "OracleEngine: location service already attached");
-  locate_opts_ = locate_opts;
-  auto epoch = std::make_shared<LocationEpoch>();
-  // Non-owning: the legacy contract is that `svc` outlives the engine.
-  epoch->service = std::shared_ptr<const LocationService>(
-      std::shared_ptr<void>(), &svc);
-  set_epoch(std::move(epoch), /*require_new_id=*/false);
-}
-
-void OracleEngine::apply(std::shared_ptr<const LocationEpoch> epoch) {
-  set_epoch(std::move(epoch), /*require_new_id=*/true);
+  m_epoch_mu_hold_seconds_->record(workers_,
+                                   static_cast<double>(hold_ns) * 1e-9);
+  m_epoch_swaps_->add(workers_);
+  m_epoch_swap_seconds_->record(workers_, swap_watch.elapsed_seconds());
+  // Visible yardstick for the violation counter (Theorem 5.2(a)'s
+  // 4*ceil(log2 n)+8 for the current epoch's node count).
+  m_hop_bound_->set(static_cast<double>(hop_bound));
 }
 
 const LocationService& OracleEngine::location() const {
@@ -295,11 +262,10 @@ void OracleEngine::process_estimate_shard(unsigned w,
   // time). The shared atomic shards are touched once per batch, below —
   // shard w is single-owner here (batch protocol), so the single-owner
   // merge/add fast paths apply.
-  [[maybe_unused]] LocalHistogram latency;
-  [[maybe_unused]] std::uint64_t hits_n = 0;
-  [[maybe_unused]] std::uint64_t misses_n = 0;
-  std::uint64_t t0 = 0;
-  if constexpr (kTelemetryEnabled) t0 = query_now_ns();
+  LocalHistogram latency;
+  std::uint64_t hits_n = 0;
+  std::uint64_t misses_n = 0;
+  std::uint64_t t0 = query_now_ns();
   for (std::uint32_t i : shard_index_[w]) {
     const auto [u, v] = pairs[i];
     const std::uint64_t key = pair_key(u, v);
@@ -310,20 +276,16 @@ void OracleEngine::process_estimate_shard(unsigned w,
       if (cache.enabled()) cache.put(key, d);
     }
     results[i] = d;
-    if constexpr (kTelemetryEnabled) {
-      // Latency covers cache hits too — a hit's latency is the latency the
-      // caller saw. Hit/miss counters split the population.
-      const std::uint64_t t1 = query_now_ns();
-      latency.record(static_cast<double>(t1 - t0) * 1e-9);
-      ++(hit ? hits_n : misses_n);
-      t0 = t1;
-    }
+    // Latency covers cache hits too — a hit's latency is the latency the
+    // caller saw. Hit/miss counters split the population.
+    const std::uint64_t t1 = query_now_ns();
+    latency.record(static_cast<double>(t1 - t0) * 1e-9);
+    ++(hit ? hits_n : misses_n);
+    t0 = t1;
   }
-  if constexpr (kTelemetryEnabled) {
-    m_estimate_latency_->merge_single_owner(w, latency.h);
-    m_estimate_cache_hits_->add_single_owner(w, hits_n);
-    m_estimate_cache_misses_->add_single_owner(w, misses_n);
-  }
+  m_estimate_latency_->merge_single_owner(w, latency.h);
+  m_estimate_cache_hits_->add_single_owner(w, hits_n);
+  m_estimate_cache_misses_->add_single_owner(w, misses_n);
 }
 
 void OracleEngine::process_locate_shard(unsigned w,
@@ -338,88 +300,70 @@ void OracleEngine::process_locate_shard(unsigned w,
   if (locate_cache_epoch_[w] != epoch.id) {
     cache.clear();
     locate_cache_epoch_[w] = epoch.id;
-    if constexpr (kTelemetryEnabled) m_cache_invalidations_->add(w);
+    m_cache_invalidations_->add(w);
   }
   const std::size_t hop_bound = location_hop_bound(svc.n());
   // Batch-local scratch + chained clock reads, exactly as in
   // process_estimate_shard (shard w is this worker's alone for the whole
   // batch).
-  [[maybe_unused]] LocalHistogram latency;
-  [[maybe_unused]] LocalHistogram hops;
-  [[maybe_unused]] LocalHistogram stretch;
-  [[maybe_unused]] std::uint64_t hits_n = 0;
-  [[maybe_unused]] std::uint64_t misses_n = 0;
-  [[maybe_unused]] std::uint64_t not_found_n = 0;
-  [[maybe_unused]] std::uint64_t violations_n = 0;
-  std::uint64_t t0 = 0;
-  if constexpr (kTelemetryEnabled) t0 = query_now_ns();
+  LocalHistogram latency;
+  LocalHistogram hops;
+  LocalHistogram stretch;
+  std::uint64_t hits_n = 0;
+  std::uint64_t misses_n = 0;
+  std::uint64_t not_found_n = 0;
+  std::uint64_t violations_n = 0;
+  std::uint64_t t0 = query_now_ns();
   for (std::uint32_t i : shard_index_[w]) {
     const auto [querier, obj] = queries[i];
     const std::uint64_t key = locate_key(querier, obj);
     LocateResult r;
     const bool hit = cache.enabled() && cache.get(key, r);
     if (!hit) {
-      bool traced = false;
-      if constexpr (kTelemetryEnabled) {
-        // Trace only real walks (a cache hit repeats no hops), sampled by
-        // the sink so the per-hop ring-level scan stays off the common
-        // path.
-        if (trace_sink_ != nullptr && trace_sink_->should_sample()) {
-          LocateTrace trace;
-          r = svc.locate(querier, obj, locate_opts_, &trace);
-          trace_sink_->record(std::move(trace));
-          traced = true;
-        }
+      // Trace only real walks (a cache hit repeats no hops), sampled by
+      // the sink so the per-hop ring-level scan stays off the common path.
+      if (trace_sink_ != nullptr && trace_sink_->should_sample()) {
+        LocateTrace trace;
+        r = svc.locate(querier, obj, locate_opts_, &trace);
+        trace_sink_->record(std::move(trace));
+      } else {
+        r = svc.locate(querier, obj, locate_opts_);
       }
-      if (!traced) r = svc.locate(querier, obj, locate_opts_);
       if (cache.enabled()) cache.put(key, r);
     }
     results[i] = r;
-    if constexpr (kTelemetryEnabled) {
-      const std::uint64_t t1 = query_now_ns();
-      latency.record(static_cast<double>(t1 - t0) * 1e-9);
-      t0 = t1;
-      ++(hit ? hits_n : misses_n);
-      // Hop/stretch distributions (and the bound-violation counter) cover
-      // real ring walks only: a cache hit repeats no hops, and counting
-      // cached copies would skew the overlay's routing distribution toward
-      // hot keys (and double-count a violating walk). Histogram counts
-      // therefore line up with the miss counter, not the query count.
-      if (!hit) {
-        hops.record(static_cast<double>(r.hops));
-        if (r.found) {
-          stretch.record(r.route_stretch);
-        } else {
-          ++not_found_n;
-        }
-        if (r.hops > hop_bound) ++violations_n;
+    const std::uint64_t t1 = query_now_ns();
+    latency.record(static_cast<double>(t1 - t0) * 1e-9);
+    t0 = t1;
+    ++(hit ? hits_n : misses_n);
+    // Hop/stretch distributions (and the bound-violation counter) cover
+    // real ring walks only: a cache hit repeats no hops, and counting
+    // cached copies would skew the overlay's routing distribution toward
+    // hot keys (and double-count a violating walk). Histogram counts
+    // therefore line up with the miss counter, not the query count.
+    if (!hit) {
+      hops.record(static_cast<double>(r.hops));
+      if (r.found) {
+        stretch.record(r.route_stretch);
+      } else {
+        ++not_found_n;
       }
+      if (r.hops > hop_bound) ++violations_n;
     }
   }
-  if constexpr (kTelemetryEnabled) {
-    m_locate_latency_->merge_single_owner(w, latency.h);
-    m_locate_hops_->merge_single_owner(w, hops.h);
-    m_locate_route_stretch_->merge_single_owner(w, stretch.h);
-    m_locate_cache_hits_->add_single_owner(w, hits_n);
-    m_locate_cache_misses_->add_single_owner(w, misses_n);
-    m_locate_not_found_->add_single_owner(w, not_found_n);
-    m_hop_bound_violations_->add_single_owner(w, violations_n);
-  }
-}
-
-std::size_t OracleEngine::cache_hits() const {
-  std::size_t hits = 0;
-  for (const auto& shard : estimate_cache_) hits += shard.hits();
-  for (const auto& shard : locate_cache_) hits += shard.hits();
-  return hits;
+  m_locate_latency_->merge_single_owner(w, latency.h);
+  m_locate_hops_->merge_single_owner(w, hops.h);
+  m_locate_route_stretch_->merge_single_owner(w, stretch.h);
+  m_locate_cache_hits_->add_single_owner(w, hits_n);
+  m_locate_cache_misses_->add_single_owner(w, misses_n);
+  m_locate_not_found_->add_single_owner(w, not_found_n);
+  m_hop_bound_violations_->add_single_owner(w, violations_n);
 }
 
 template <typename SourceOf>
 void OracleEngine::run_batch(std::size_t count, SourceOf&& source_of,
-                             const std::function<void(unsigned)>& shard_fn) {
-  // Batch wall time is always measured (one clock read pair per batch):
-  // last_batch_stats()/totals() stay live even with telemetry compiled
-  // out.
+                             const std::function<void(unsigned)>& shard_fn,
+                             Histogram& batch_seconds) {
   const Stopwatch batch_watch(*clock_);
 
   // Shard by source node: all queries from one source land on one worker
@@ -435,23 +379,18 @@ void OracleEngine::run_batch(std::size_t count, SourceOf&& source_of,
     std::uint64_t publish_hold_ns = 0;
     {
       MutexLock lk(mu_);
-      std::optional<Stopwatch> hold_watch;
-      if constexpr (kTelemetryEnabled) hold_watch.emplace(*clock_);
+      const Stopwatch hold_watch(*clock_);
       batch_fn_ = shard_fn;
       batch_error_ = nullptr;
       remaining_ = workers_;
       ++generation_;
-      if constexpr (kTelemetryEnabled) {
-        publish_hold_ns = hold_watch->elapsed_ns();
-      }
+      publish_hold_ns = hold_watch.elapsed_ns();
     }
-    if constexpr (kTelemetryEnabled) {
-      // Only the publish section is hold-timed: the wait section below
-      // releases mu_ inside cv_done_.wait, so "time in the block" there
-      // would mostly be time the lock was NOT held.
-      m_mu_hold_seconds_->record(
-          workers_, static_cast<double>(publish_hold_ns) * 1e-9);
-    }
+    // Only the publish section is hold-timed: the wait section below
+    // releases mu_ inside cv_done_.wait, so "time in the block" there
+    // would mostly be time the lock was NOT held.
+    m_mu_hold_seconds_->record(workers_,
+                               static_cast<double>(publish_hold_ns) * 1e-9);
     cv_start_.notify_all();
     std::exception_ptr err;
     {
@@ -470,24 +409,19 @@ void OracleEngine::run_batch(std::size_t count, SourceOf&& source_of,
   // clock's own resolution, so the clamp never understates a real duration.
   const std::uint64_t elapsed_ns =
       std::max<std::uint64_t>(batch_watch.elapsed_ns(), 1);
-  last_.queries = count;
-  last_.seconds = static_cast<double>(elapsed_ns) * 1e-9;
-  last_.qps = static_cast<double>(count) / last_.seconds;
-  last_.cache_hits = cache_hits();  // shards were reset at batch start
-  total_batches_.fetch_add(1, std::memory_order_relaxed);
-  total_queries_.fetch_add(count, std::memory_order_relaxed);
-  total_busy_ns_.fetch_add(elapsed_ns, std::memory_order_relaxed);
-  total_cache_hits_.fetch_add(last_.cache_hits, std::memory_order_relaxed);
+  batch_seconds.record(workers_, static_cast<double>(elapsed_ns) * 1e-9);
 }
 
 EngineTotals OracleEngine::totals() const {
+  const HistogramSnapshot estimate = m_estimate_batch_seconds_->snapshot();
+  const HistogramSnapshot locate = m_locate_batch_seconds_->snapshot();
   EngineTotals t;
-  t.batches = total_batches_.load(std::memory_order_relaxed);
-  t.queries = total_queries_.load(std::memory_order_relaxed);
-  t.seconds =
-      static_cast<double>(total_busy_ns_.load(std::memory_order_relaxed)) *
-      1e-9;
-  t.cache_hits = total_cache_hits_.load(std::memory_order_relaxed);
+  t.batches = estimate.count + locate.count;
+  t.seconds = estimate.sum + locate.sum;
+  t.queries = m_estimate_latency_->snapshot().count +
+              m_locate_latency_->snapshot().count;
+  t.cache_hits =
+      m_estimate_cache_hits_->value() + m_locate_cache_hits_->value();
   return t;
 }
 
@@ -500,17 +434,13 @@ std::vector<Dist> OracleEngine::estimate_batch(
               "estimate_batch: node id out of range (" << u << "," << v
                                                        << "), n=" << dls.n());
   }
-  for (auto& shard : estimate_cache_) shard.reset_hits();
-  for (auto& shard : locate_cache_) shard.reset_hits();
-
   std::vector<Dist> results(pairs.size(), kInfDist);
-  run_batch(pairs.size(), [&](std::uint32_t i) { return pairs[i].first; },
-            [this, pairs, &results](unsigned w) {
-              process_estimate_shard(w, pairs, results);
-            });
-  if constexpr (kTelemetryEnabled) {
-    m_estimate_batch_seconds_->record(workers_, last_.seconds);
-  }
+  run_batch(
+      pairs.size(), [&](std::uint32_t i) { return pairs[i].first; },
+      [this, pairs, &results](unsigned w) {
+        process_estimate_shard(w, pairs, results);
+      },
+      *m_estimate_batch_seconds_);
   return results;
 }
 
@@ -530,17 +460,13 @@ std::vector<LocateResult> OracleEngine::locate_batch(
                                  << obj << " out of range ("
                                  << objects << " objects)");
   }
-  for (auto& shard : estimate_cache_) shard.reset_hits();
-  for (auto& shard : locate_cache_) shard.reset_hits();
-
   std::vector<LocateResult> results(queries.size());
-  run_batch(queries.size(), [&](std::uint32_t i) { return queries[i].first; },
-            [this, &epoch, queries, &results](unsigned w) {
-              process_locate_shard(w, *epoch, queries, results);
-            });
-  if constexpr (kTelemetryEnabled) {
-    m_locate_batch_seconds_->record(workers_, last_.seconds);
-  }
+  run_batch(
+      queries.size(), [&](std::uint32_t i) { return queries[i].first; },
+      [this, &epoch, queries, &results](unsigned w) {
+        process_locate_shard(w, *epoch, queries, results);
+      },
+      *m_locate_batch_seconds_);
   return results;
 }
 

@@ -6,9 +6,9 @@
 //   - estimate_batch: distance estimates from a loaded DistanceLabeling.
 //     DistanceLabeling::estimate is a pure function of two labels, so
 //     serving parallelizes embarrassingly.
-//   - locate_batch: nearest-copy object location through an attached
-//     LocationService (greedy ring-walks; LocationService is immutable and
-//     safe to share across threads).
+//   - locate_batch: nearest-copy object location through the current
+//     LocationEpoch's LocationService (greedy ring-walks; LocationService is
+//     immutable and safe to share across threads).
 //
 // Both paths share the same machinery: a batch is sharded by source/querier
 // node across the workers (query i goes to worker source % W), each worker
@@ -28,24 +28,24 @@
 // is single-owner by the batch protocol — outside the annotations' reach,
 // covered by the tsan.* stress shard instead.
 //
-// Epochs: location state is served through LocationEpoch bundles. apply()
-// swaps the current epoch atomically (it may be called from a maintenance
-// thread while a batch is in flight): every batch pins the epoch pointer it
-// started with, so in-flight locate queries keep answering from the old
-// epoch, and each worker's locate LRU shard is cleared the first time that
-// worker serves the new epoch — a cached pre-mutation result is never
-// served across an epoch boundary.
+// Epochs: location state enters an engine only as a LocationEpoch, through
+// the epoch constructor or apply(). apply() swaps the current epoch
+// atomically (it may be called from a maintenance thread while a batch is
+// in flight): every batch pins the epoch pointer it started with, so
+// in-flight locate queries keep answering from the old epoch, and each
+// worker's locate LRU shard is cleared the first time that worker serves
+// the new epoch — a cached pre-mutation result is never served across an
+// epoch boundary.
 //
 // Telemetry: every serving event is recorded into a sharded
 // MetricsRegistry (telemetry/metrics.h; ron_engine_* names) — per-query
 // latency histograms, per-shard LRU hit/miss counters, epoch-swap events
 // with swap-duration and lock hold-time histograms, and hop/stretch
 // distributions checked against location_hop_bound. Recording is lock-free
-// (worker w writes only shard w) and compiled out entirely under
-// -DRON_TELEMETRY=OFF; the lifetime totals() atomics stay live regardless.
+// (worker w writes only shard w). The registry is the only accounting;
+// totals() reads it.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <exception>
 #include <functional>
@@ -81,7 +81,8 @@ std::vector<QueryPair> random_query_pairs(std::size_t count, std::size_t n,
                                           Rng& rng);
 
 struct OracleOptions {
-  /// Worker threads; 0 = one per hardware core.
+  /// Worker threads; 0 = one per available CPU (the affinity mask, see
+  /// common/parallel.h), at most 256.
   unsigned num_threads = 1;
   /// LRU result-cache entries across all worker shards, per query kind
   /// (estimate and locate caches are separate); 0 disables caching.
@@ -96,54 +97,56 @@ struct OracleOptions {
   TraceSink* trace_sink = nullptr;
 };
 
-/// Measurements of one estimate_batch/locate_batch call.
-struct BatchStats {
-  std::size_t queries = 0;
-  double seconds = 0.0;
-  double qps = 0.0;  // queries / seconds
-  std::size_t cache_hits = 0;
-};
-
-/// Running totals across the engine's lifetime (both query kinds).
-/// Returned by value from totals(): the underlying counters are relaxed
-/// atomics written per batch, so a snapshot taken while batches run is a
-/// consistent-enough monitoring read, never a data race.
+/// Running totals across the engine's lifetime (both query kinds), read
+/// from the metrics registry by totals(). A read taken while batches run is
+/// a monitoring read: every field is monotone, never a data race. The
+/// difference of two reads accounts the batches in between.
 struct EngineTotals {
   std::size_t batches = 0;
   std::size_t queries = 0;
   double seconds = 0.0;  // summed batch wall time ("busy seconds")
   std::size_t cache_hits = 0;
+
+  /// queries / seconds; 0 before any batch ran.
+  double qps() const {
+    return seconds > 0.0 ? static_cast<double>(queries) / seconds : 0.0;
+  }
+
+  friend EngineTotals operator-(const EngineTotals& a, const EngineTotals& b) {
+    return {a.batches - b.batches, a.queries - b.queries,
+            a.seconds - b.seconds, a.cache_hits - b.cache_hits};
+  }
 };
 
-/// One immutable generation of location-serving state. The shared_ptrs keep
-/// the rings/directory alive exactly as long as any batch (or the engine)
-/// still points at this epoch; `service` must be built over those same
-/// objects (and over a ProximityIndex that outlives every epoch — epochs
-/// share the metric, churn only rewrites overlay and directory state).
+/// One immutable generation of location-serving state, and the only way
+/// location state enters an engine. The shared_ptrs keep the
+/// rings/directory alive exactly as long as any batch (or the engine) still
+/// points at this epoch; `service` must be built over those same objects
+/// (and over a ProximityIndex that outlives every epoch — epochs share the
+/// metric, churn only rewrites overlay and directory state). `rings` and
+/// `directory` are null when their owner outlives the epoch (e.g. a
+/// ScenarioBuilder the caller keeps alive), and the service borrows them.
 /// The churn subsystem's OverlayMutator::commit() is the canonical factory.
 struct LocationEpoch {
   /// Monotonically increasing generation tag; apply() requires each
   /// applied id to exceed the previous one so per-worker cache
   /// invalidation can key off it.
   std::uint64_t id = 0;
-  std::shared_ptr<const RingsOfNeighbors> rings;      // may be null (legacy)
-  std::shared_ptr<const ObjectDirectory> directory;   // may be null (legacy)
+  std::shared_ptr<const RingsOfNeighbors> rings;      // null: owner outlives
+  std::shared_ptr<const ObjectDirectory> directory;   // null: owner outlives
   std::shared_ptr<const LocationService> service;     // required
 };
 
 class OracleEngine {
  public:
-  /// Distance-estimate serving from a loaded labeling.
+  /// Distance-estimate serving from a loaded labeling; apply() adds
+  /// location state later (with default LocateOptions).
   explicit OracleEngine(DistanceLabeling labeling, OracleOptions opts = {});
 
-  /// Locate-only serving: no labeling, queries answered via `svc` (borrowed;
-  /// must outlive the engine). `locate_opts` is fixed per engine so cached
-  /// results can never reflect a different walk configuration.
-  OracleEngine(const LocationService& svc, OracleOptions opts,
-               LocateOptions locate_opts = {});
-
-  /// Locate-only serving from an owned epoch (the dynamic-overlay entry
-  /// point: OverlayMutator::commit() -> this -> apply() for later epochs).
+  /// Locate-only serving from an epoch (the dynamic-overlay entry point:
+  /// OverlayMutator::commit() -> this -> apply() for later epochs).
+  /// `locate_opts` is fixed per engine so cached results can never reflect
+  /// a different walk configuration.
   OracleEngine(std::shared_ptr<const LocationEpoch> epoch, OracleOptions opts,
                LocateOptions locate_opts = {});
 
@@ -153,28 +156,20 @@ class OracleEngine {
   OracleEngine& operator=(const OracleEngine&) = delete;
 
   /// Node count of whichever snapshot state is present (labeling wins when
-  /// both are attached; attach_location enforces they agree).
+  /// both are present; apply() enforces they agree).
   std::size_t n() const;
   unsigned num_workers() const { return workers_; }
 
   bool has_labeling() const { return labeling_.has_value(); }
   const DistanceLabeling& labeling() const;
 
-  /// Attaches an object-location service to an estimate-serving engine
-  /// (borrowed; must outlive the engine, node count must match the
-  /// labeling's). The service's directory must not be mutated while
-  /// attached — locate results are cached. Internally this wraps `svc` in a
-  /// non-owning epoch with id 0; apply() can later swap it for owned ones.
-  void attach_location(const LocationService& svc,
-                       LocateOptions locate_opts = {})
-      RON_EXCLUDES(epoch_mu_);
-
-  /// Swaps the serving epoch. Requires a complete epoch (non-null service)
-  /// over the same node count, with an id STRICTLY GREATER than the current
-  /// epoch's (worker cache tags hold previously served ids, so a reused id
-  /// — e.g. from a second mutator numbering its own commits from 1 — could
-  /// match a stale tag). Safe to call from a maintenance thread while
-  /// batches run:
+  /// Swaps the serving epoch (on an estimate engine, the first call
+  /// attaches location state). Requires a complete epoch (non-null service)
+  /// over the same node count as the labeling and the current epoch, with
+  /// an id STRICTLY GREATER than the current epoch's (worker cache tags
+  /// hold previously served ids, so a reused id — e.g. from a second
+  /// mutator numbering its own commits from 1 — could match a stale tag).
+  /// Safe to call from a maintenance thread while batches run:
   /// in-flight batches finish against the epoch they pinned at submission,
   /// and each worker's locate cache shard is invalidated lazily when it
   /// first serves the new epoch. The fixed locate_opts are kept.
@@ -194,20 +189,18 @@ class OracleEngine {
   LocateResult locate(NodeId querier, ObjectId obj) const;
 
   /// Answers every pair; results[i] corresponds to pairs[i]. Node ids are
-  /// validated up front (throws ron::Error). Updates last_batch_stats().
+  /// validated up front (throws ron::Error).
   std::vector<Dist> estimate_batch(std::span<const QueryPair> pairs);
 
   /// Answers every locate query; results[i] corresponds to queries[i].
-  /// Querier/object ids are validated up front (throws ron::Error). Updates
-  /// last_batch_stats().
+  /// Querier/object ids are validated up front (throws ron::Error).
   std::vector<LocateResult> locate_batch(std::span<const LocateQuery> queries);
 
-  /// Stats of the most recent batch. Dispatcher-owned: call from the
-  /// thread that submitted the batch (concurrent readers should use
-  /// totals() or metrics() instead).
-  const BatchStats& last_batch_stats() const { return last_; }
-  /// Lifetime totals, safe to read from any thread at any time. Always
-  /// live, even in RON_TELEMETRY=OFF builds.
+  /// Lifetime totals, read from the registry; safe to read from any thread
+  /// at any time. `batches` and `seconds` are the count and sum of
+  /// ron_engine_{estimate,locate}_batch_seconds, `queries` the count of
+  /// ron_engine_{estimate,locate}_latency_seconds, `cache_hits` the sum of
+  /// ron_engine_{estimate,locate}_cache_hits_total.
   EngineTotals totals() const;
 
   /// The engine's metric registry (telemetry/metrics.h): per-query latency
@@ -231,32 +224,30 @@ class OracleEngine {
   }
 
   /// Pool/cache/shard setup shared by the public constructors; snapshot
-  /// state (labeling_ / epoch_) is attached afterwards by each of them.
+  /// state (labeling_ / epoch_) is set afterwards by each of them.
   explicit OracleEngine(OracleOptions opts);
 
   void start_pool();
   void worker_main(unsigned w) RON_EXCLUDES(mu_);
   /// Shards `count` queries by `source_of(i) % workers`, publishes
   /// `shard_fn` to the pool (or runs it inline for one worker), rethrows
-  /// the first worker error, and accounts stats for `count` queries.
+  /// the first worker error, and records the batch's wall time into
+  /// `batch_seconds`.
   template <typename SourceOf>
   void run_batch(std::size_t count, SourceOf&& source_of,
-                 const std::function<void(unsigned)>& shard_fn)
-      RON_EXCLUDES(mu_);
+                 const std::function<void(unsigned)>& shard_fn,
+                 Histogram& batch_seconds) RON_EXCLUDES(mu_);
   void process_estimate_shard(unsigned w, std::span<const QueryPair> pairs,
                               std::vector<Dist>& results);
   void process_locate_shard(unsigned w, const LocationEpoch& epoch,
                             std::span<const LocateQuery> queries,
                             std::vector<LocateResult>& results);
-  std::size_t cache_hits() const;
   /// Per-query timestamp for the shard loops: the inline steady_clock read
   /// when the engine runs on the real clock (the common case), virtual
   /// dispatch for injected test clocks.
   std::uint64_t query_now_ns() const {
     return clock_is_real_ ? real_now_ns() : clock_->now_ns();
   }
-  void set_epoch(std::shared_ptr<const LocationEpoch> epoch,
-                 bool require_new_id) RON_EXCLUDES(epoch_mu_);
   /// Registers every ron_engine_* metric and caches the handles below.
   void init_metrics();
 
@@ -297,18 +288,6 @@ class OracleEngine {
   // Built by the dispatcher before a batch is published, read by workers
   // during it (ordered by the mu_/cv protocol, like the shards above).
   std::vector<std::vector<std::uint32_t>> shard_index_;  // per worker
-
-  // Dispatcher-owned, like shard_index_ (see last_batch_stats()).
-  BatchStats last_;
-
-  // Lifetime totals as relaxed atomics: written once per batch by the
-  // dispatcher, readable from any thread (the satellite fix for the
-  // previously annotation-free EngineTotals member). Always recorded,
-  // independent of RON_TELEMETRY.
-  std::atomic<std::uint64_t> total_batches_{0};
-  std::atomic<std::uint64_t> total_queries_{0};
-  std::atomic<std::uint64_t> total_busy_ns_{0};
-  std::atomic<std::uint64_t> total_cache_hits_{0};
 
   // Telemetry. The registry has workers_+1 shards: shard w belongs to
   // worker w during a batch; shard workers_ is shared by the dispatcher

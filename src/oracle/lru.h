@@ -22,8 +22,8 @@
 //     locate shards on epoch change — see OracleEngine::apply).
 //   - capacity 0 disables the shard (enabled() == false); get/put on a
 //     disabled shard are valid no-ops so callers can branch once.
-//   - clear() drops entries but keeps the hit counter (hits are per-batch
-//     accounting, reset separately).
+//   - The shard keeps no hit accounting: get() reports hit/miss and the
+//     engine counts them into its metrics registry.
 #pragma once
 
 #include <cstdint>
@@ -50,7 +50,6 @@ class LruShard {
     if (it == map_.end()) return false;
     order_.splice(order_.begin(), order_, it->second);  // refresh recency
     out = it->second->second;
-    ++hits_;
     return true;
   }
 
@@ -72,8 +71,7 @@ class LruShard {
     map_.emplace(key, order_.begin());
   }
 
-  /// Drops every entry (epoch change / snapshot swap); hit accounting is
-  /// untouched.
+  /// Drops every entry (epoch change / snapshot swap).
   void clear() {
     order_.clear();
     map_.clear();
@@ -89,13 +87,9 @@ class LruShard {
     return keys;
   }
 
-  std::size_t hits() const { return hits_; }
-  void reset_hits() { hits_ = 0; }
-
  private:
   using Order = std::list<std::pair<std::uint64_t, Value>>;
   std::size_t capacity_;
-  std::size_t hits_ = 0;
   Order order_;  // front = most recent
   std::unordered_map<std::uint64_t, typename Order::iterator> map_;
 };

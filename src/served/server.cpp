@@ -478,20 +478,15 @@ std::vector<std::uint8_t> Server::serve_locate(const FrameView& f) {
   }
   const std::shared_ptr<const LocationEpoch> epoch =
       state_.engine->current_epoch();
-  const ObjectDirectory* dir = epoch->directory.get();
+  const ObjectDirectory& dir = epoch->service->directory();
   const std::size_t n = state_.engine->n();
   for (const auto& [querier, obj] : queries) {
-    // Without a directory in the epoch (legacy borrowed services) the
-    // object bound is unknowable here; the engine validates at dispatch.
-    if (querier >= n ||
-        (dir != nullptr && obj >= dir->num_objects())) {
+    if (querier >= n || obj >= dir.num_objects()) {
       throw Reject{ErrorCode::kBadRequest,
                    "locate query (" + std::to_string(querier) + ", " +
                        std::to_string(obj) + ") out of range (n = " +
                        std::to_string(n) + ", objects = " +
-                       std::to_string(dir != nullptr ? dir->num_objects()
-                                                     : 0) +
-                       ")"};
+                       std::to_string(dir.num_objects()) + ")"};
     }
   }
 
@@ -506,7 +501,7 @@ std::vector<std::uint8_t> Server::serve_locate(const FrameView& f) {
   servable.reserve(queries.size());
   slot.reserve(queries.size());
   for (std::size_t i = 0; i < queries.size(); ++i) {
-    if (dir != nullptr && dir->holders(queries[i].second).empty()) {
+    if (dir.holders(queries[i].second).empty()) {
       out[i].status = LocateStatus::kZeroHolders;
       continue;
     }
@@ -565,8 +560,7 @@ std::vector<std::uint8_t> Server::serve_info(const FrameView& f) {
     const std::shared_ptr<const LocationEpoch> epoch =
         state_.engine->current_epoch();
     info.epoch_id = epoch->id;
-    info.num_objects =
-        epoch->directory != nullptr ? epoch->directory->num_objects() : 0;
+    info.num_objects = epoch->service->directory().num_objects();
   }
   info.hop_bound = location_hop_bound(state_.engine->n());
   return encode_info_result(f.request_id, info);

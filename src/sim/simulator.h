@@ -32,7 +32,7 @@
 // Accounting lands in a telemetry::MetricsRegistry under ron_sim_* names
 // (messages, bytes via wire.h encodings, hop/stretch/probe histograms,
 // per-node state bytes) and in plain SimTotals/SimLocateResult values the
-// tests and bench assert on even when telemetry is compiled out.
+// tests and bench assert on.
 #pragma once
 
 #include <cstddef>
@@ -103,7 +103,7 @@ struct SimLocateResult {
   LocateTrace trace;
 };
 
-/// Plain aggregate counters, independent of compiled-in telemetry.
+/// Plain aggregate counters, read directly by the tests and the bench.
 struct SimTotals {
   std::uint64_t sent = 0;
   std::uint64_t delivered = 0;

@@ -28,18 +28,9 @@ double SmallWorldModel::avg_out_degree() const {
 
 NodeId greedy_next_hop(const MetricSpace& d, std::span<const NodeId> contacts,
                        NodeId u, NodeId t) {
-  const Dist dut = d.distance(u, t);
-  NodeId best = kInvalidNode;
-  Dist best_d = dut;  // must make strict progress
-  for (NodeId c : contacts) {
-    if (c == u) continue;
-    const Dist dct = c == t ? 0.0 : d.distance(c, t);
-    if (dct < best_d || (dct == best_d && best != kInvalidNode && c < best)) {
-      best = c;
-      best_d = dct;
-    }
-  }
-  return best;
+  return greedy_next_hop(d, u, t, [contacts](auto&& visit) {
+    for (NodeId c : contacts) visit(c);
+  });
 }
 
 SwRouteResult route_query(const SmallWorldModel& model, NodeId s, NodeId t,

@@ -46,8 +46,30 @@ class SmallWorldModel {
   double avg_out_degree() const;
 };
 
-/// Greedy choice shared by the models: the contact strictly closer to t
-/// than u and closest to t; kInvalidNode if no contact makes progress.
+/// The one greedy step every walk takes (the models, the sim and
+/// LocationService): among the contacts `visit_contacts` yields, the one
+/// strictly closer to t than u and closest to t, the lowest id on ties;
+/// kInvalidNode if no contact makes progress. `visit_contacts(f)` calls
+/// f(NodeId) once per contact, in any order — the tie-break makes the
+/// answer order-independent.
+template <typename VisitContacts>
+NodeId greedy_next_hop(const MetricSpace& d, NodeId u, NodeId t,
+                       VisitContacts&& visit_contacts) {
+  const Dist dut = d.distance(u, t);
+  NodeId best = kInvalidNode;
+  Dist best_d = dut;  // must make strict progress
+  visit_contacts([&](NodeId c) {
+    if (c == u) return;
+    const Dist dct = c == t ? 0.0 : d.distance(c, t);
+    if (dct < best_d || (dct == best_d && best != kInvalidNode && c < best)) {
+      best = c;
+      best_d = dct;
+    }
+  });
+  return best;
+}
+
+/// The greedy step over a contact list.
 NodeId greedy_next_hop(const MetricSpace& d, std::span<const NodeId> contacts,
                        NodeId u, NodeId t);
 

@@ -181,11 +181,6 @@ double Histogram::bucket_upper(std::size_t i) {
 }
 
 void Histogram::record(unsigned shard, double v) {
-  if constexpr (!kTelemetryEnabled) {
-    (void)shard;
-    (void)v;
-    return;
-  }
   Shard& s = shards_[shard];
   s.buckets[bucket_index(v)].fetch_add(1, std::memory_order_relaxed);
   s.count.fetch_add(1, std::memory_order_relaxed);
@@ -196,11 +191,6 @@ void Histogram::record(unsigned shard, double v) {
 
 void Histogram::merge_single_owner(unsigned shard,
                                    const HistogramSnapshot& local) {
-  if constexpr (!kTelemetryEnabled) {
-    (void)shard;
-    (void)local;
-    return;
-  }
   if (local.count == 0) return;
   Shard& s = shards_[shard];
   for (std::size_t i = 0; i < kHistNumBuckets; ++i) {

@@ -13,12 +13,6 @@
 // returned by counter()/gauge()/histogram() are stable for the registry's
 // lifetime and are what hot paths hold.
 //
-// Compile-time kill switch: configuring with -DRON_TELEMETRY=OFF defines
-// RON_TELEMETRY=0, which turns every record/add/set into a no-op (the
-// registry still exists and scrapes zeros). Timing call sites should
-// additionally guard their clock reads with `if constexpr
-// (kTelemetryEnabled)` so a disabled build pays nothing.
-//
 // Naming scheme (see README "Observability"): prometheus-style
 // `ron_<subsystem>_<what>_<unit-or-total>`, lowercase snake_case —
 // e.g. ron_engine_locate_latency_seconds, ron_churn_joins_total.
@@ -40,16 +34,7 @@
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
 
-#if !defined(RON_TELEMETRY)
-#define RON_TELEMETRY 1
-#endif
-
 namespace ron {
-
-/// False when the build was configured with -DRON_TELEMETRY=OFF: every
-/// metric mutation compiles to a no-op and timed call sites should skip
-/// their clock reads.
-inline constexpr bool kTelemetryEnabled = RON_TELEMETRY != 0;
 
 /// Histogram bucket layout: powers of two, closed-left. Bucket 1+k covers
 /// [2^(kMinExp+k), 2^(kMinExp+k+1)); bucket 0 is the underflow slot
@@ -124,26 +109,16 @@ class Counter final : public Metric {
   Counter(std::string name, unsigned num_shards);
 
   void add(unsigned shard, std::uint64_t delta = 1) {
-    if constexpr (kTelemetryEnabled) {
-      cells_[shard].v.fetch_add(delta, std::memory_order_relaxed);
-    } else {
-      (void)shard;
-      (void)delta;
-    }
+    cells_[shard].v.fetch_add(delta, std::memory_order_relaxed);
   }
 
   /// Single-owner fast path (relaxed load+store, no RMW): ONLY valid while
   /// the caller is the shard's sole writer — see
   /// Histogram::record_single_owner for the contract.
   void add_single_owner(unsigned shard, std::uint64_t delta = 1) {
-    if constexpr (kTelemetryEnabled) {
-      auto& c = cells_[shard].v;
-      c.store(c.load(std::memory_order_relaxed) + delta,
-              std::memory_order_relaxed);
-    } else {
-      (void)shard;
-      (void)delta;
-    }
+    auto& c = cells_[shard].v;
+    c.store(c.load(std::memory_order_relaxed) + delta,
+            std::memory_order_relaxed);
   }
 
   std::uint64_t value() const;
@@ -164,13 +139,7 @@ class Gauge final : public Metric {
  public:
   explicit Gauge(std::string name) : Metric(std::move(name), MetricKind::kGauge) {}
 
-  void set(double v) {
-    if constexpr (kTelemetryEnabled) {
-      v_.store(v, std::memory_order_relaxed);
-    } else {
-      (void)v;
-    }
-  }
+  void set(double v) { v_.store(v, std::memory_order_relaxed); }
   double value() const { return v_.load(std::memory_order_relaxed); }
 
   void json_value(std::ostream& os) const override;
@@ -195,26 +164,21 @@ class Histogram final : public Metric {
   /// would lose updates; use record() there). Concurrent scrapes stay
   /// safe: readers see each relaxed-atomic cell individually intact.
   void record_single_owner(unsigned shard, double v) {
-    if constexpr (kTelemetryEnabled) {
-      Shard& s = shards_[shard];
-      auto& bucket = s.buckets[bucket_index(v)];
-      bucket.store(bucket.load(std::memory_order_relaxed) + 1,
-                   std::memory_order_relaxed);
-      s.count.store(s.count.load(std::memory_order_relaxed) + 1,
-                    std::memory_order_relaxed);
-      s.sum.store(s.sum.load(std::memory_order_relaxed) + v,
+    Shard& s = shards_[shard];
+    auto& bucket = s.buckets[bucket_index(v)];
+    bucket.store(bucket.load(std::memory_order_relaxed) + 1,
+                 std::memory_order_relaxed);
+    s.count.store(s.count.load(std::memory_order_relaxed) + 1,
                   std::memory_order_relaxed);
-      // Same NaN semantics as record(): a NaN sample still counts (in the
-      // underflow bucket) but never becomes min/max.
-      if (v < s.min.load(std::memory_order_relaxed)) {
-        s.min.store(v, std::memory_order_relaxed);
-      }
-      if (v > s.max.load(std::memory_order_relaxed)) {
-        s.max.store(v, std::memory_order_relaxed);
-      }
-    } else {
-      (void)shard;
-      (void)v;
+    s.sum.store(s.sum.load(std::memory_order_relaxed) + v,
+                std::memory_order_relaxed);
+    // Same NaN semantics as record(): a NaN sample still counts (in the
+    // underflow bucket) but never becomes min/max.
+    if (v < s.min.load(std::memory_order_relaxed)) {
+      s.min.store(v, std::memory_order_relaxed);
+    }
+    if (v > s.max.load(std::memory_order_relaxed)) {
+      s.max.store(v, std::memory_order_relaxed);
     }
   }
 

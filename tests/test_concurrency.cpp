@@ -199,9 +199,10 @@ TEST(ConcurrencyStress, LruInvalidationDuringInFlightCachedBatches) {
   // Once the epochs stop moving, the cache must converge back to serving
   // hits — and those hits must match a cold engine over the same epoch.
   const auto warm = engine.locate_batch(fx.locates);
+  const EngineTotals before = engine.totals();
   const auto warm2 = engine.locate_batch(fx.locates);
   EXPECT_EQ(warm, warm2);
-  EXPECT_EQ(engine.last_batch_stats().cache_hits, fx.locates.size());
+  EXPECT_EQ((engine.totals() - before).cache_hits, fx.locates.size());
   OracleEngine cold(engine.current_epoch(), OracleOptions{1, 0});
   EXPECT_EQ(cold.locate_batch(fx.locates), warm);
 }
@@ -379,20 +380,23 @@ TEST(EpochTagInvalidation, ApplyInvalidatesTheLocateCacheExactlyOnce) {
 
   // Warm: second identical batch is served entirely from the shard.
   const auto first = engine.locate_batch(fx.locates);
+  const EngineTotals before_warm = engine.totals();
   const auto warm = engine.locate_batch(fx.locates);
   EXPECT_EQ(warm, first);
-  EXPECT_EQ(engine.last_batch_stats().cache_hits, fx.locates.size());
+  EXPECT_EQ((engine.totals() - before_warm).cache_hits, fx.locates.size());
 
   // A new epoch (even one with identical contents) must clear the shard on
   // its first serve: the tag compares ids, not state.
   engine.apply(fx.mutator.commit());
+  const EngineTotals before_swap = engine.totals();
   const auto after_swap = engine.locate_batch(fx.locates);
-  EXPECT_EQ(engine.last_batch_stats().cache_hits, 0u);
+  EXPECT_EQ((engine.totals() - before_swap).cache_hits, 0u);
   EXPECT_EQ(after_swap, first);  // no mutation happened between commits
 
   // ...and exactly once: the next batch is hits again.
+  const EngineTotals before_again = engine.totals();
   engine.locate_batch(fx.locates);
-  EXPECT_EQ(engine.last_batch_stats().cache_hits, fx.locates.size());
+  EXPECT_EQ((engine.totals() - before_again).cache_hits, fx.locates.size());
 }
 
 TEST(EpochTagInvalidation, StaleResultsNeverSurviveAMutatedEpoch) {
@@ -410,8 +414,9 @@ TEST(EpochTagInvalidation, StaleResultsNeverSurviveAMutatedEpoch) {
   // copy, so the cached answer is now a lie the engine must not repeat.
   fx.mutator.leave(before.holder);
   engine.apply(fx.mutator.commit());
+  const EngineTotals before_swap = engine.totals();
   const LocateResult after = engine.locate_batch(one)[0];
-  EXPECT_EQ(engine.last_batch_stats().cache_hits, 0u);
+  EXPECT_EQ((engine.totals() - before_swap).cache_hits, 0u);
   ASSERT_TRUE(after.found);
   EXPECT_NE(after.holder, before.holder);
   const auto holders = fx.mutator.directory().holders(obj);
@@ -424,15 +429,20 @@ TEST(EpochTagInvalidation, EstimateCacheIsUntouchedByEpochSwaps) {
   OracleEngine engine(fx.builder.take_labeling(), OracleOptions{1, 1024});
   engine.apply(fx.mutator.commit());
 
+  // Cache hits of one estimate batch, as a difference of two totals()
+  // reads.
+  const auto batch_hits = [&] {
+    const EngineTotals before = engine.totals();
+    engine.estimate_batch(fx.estimates);
+    return (engine.totals() - before).cache_hits;
+  };
   engine.estimate_batch(fx.estimates);
-  engine.estimate_batch(fx.estimates);
-  EXPECT_EQ(engine.last_batch_stats().cache_hits, fx.estimates.size());
+  EXPECT_EQ(batch_hits(), fx.estimates.size());
 
   // Epoch swaps invalidate LOCATE shards only; estimates are a pure
   // function of the immutable labeling and keep their cache across swaps.
   engine.apply(fx.mutator.commit());
-  engine.estimate_batch(fx.estimates);
-  EXPECT_EQ(engine.last_batch_stats().cache_hits, fx.estimates.size());
+  EXPECT_EQ(batch_hits(), fx.estimates.size());
 }
 
 }  // namespace

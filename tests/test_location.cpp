@@ -233,9 +233,11 @@ TEST(EngineLocate, ZeroHolderObjectThrowsThroughTheBatchPath) {
   dir.publish("ok", 5);
   dir.publish("drained", 9);
   dir.unpublish_all("drained");
-  LocationService svc(prox, overlay.rings(), dir);
+  auto epoch = std::make_shared<LocationEpoch>();
+  epoch->service =
+      std::make_shared<const LocationService>(prox, overlay.rings(), dir);
   for (unsigned threads : {1u, 4u}) {
-    OracleEngine engine(svc, OracleOptions{threads, 0});
+    OracleEngine engine(epoch, OracleOptions{threads, 0});
     const std::vector<LocateQuery> good = {{0, dir.find("ok")}};
     EXPECT_TRUE(engine.locate_batch(good)[0].found);
     const std::vector<LocateQuery> bad = {{0, dir.find("ok")},
@@ -399,7 +401,10 @@ struct LocateEngineFixture {
     for (std::size_t k = 0; k < 8; ++k) {
       dir.publish_random("obj" + std::to_string(k), 2, rng);
     }
-    svc = std::make_unique<LocationService>(prox, overlay.rings(), dir);
+    svc = std::make_shared<const LocationService>(prox, overlay.rings(), dir);
+    auto e = std::make_shared<LocationEpoch>();
+    e->service = svc;
+    epoch = std::move(e);
   }
 
   std::vector<LocateQuery> random_queries(std::size_t count,
@@ -417,7 +422,9 @@ struct LocateEngineFixture {
   DenseProximityIndex prox;
   LocationOverlay overlay;
   ObjectDirectory dir;
-  std::unique_ptr<LocationService> svc;
+  std::shared_ptr<const LocationService> svc;
+  // Serves `svc`; the fixture owns the index, rings and directory.
+  std::shared_ptr<const LocationEpoch> epoch;
 };
 
 TEST(EngineLocate, BatchMatchesSerialForEveryThreadCount) {
@@ -430,7 +437,7 @@ TEST(EngineLocate, BatchMatchesSerialForEveryThreadCount) {
   }
   for (unsigned threads : {1u, 2u, 3u, 8u}) {
     for (std::size_t cache : {std::size_t{0}, std::size_t{64}}) {
-      OracleEngine engine(*fx.svc, OracleOptions{threads, cache});
+      OracleEngine engine(fx.epoch, OracleOptions{threads, cache});
       EXPECT_FALSE(engine.has_labeling());
       EXPECT_TRUE(engine.has_location());
       EXPECT_EQ(engine.n(), fx.prox.n());
@@ -442,22 +449,23 @@ TEST(EngineLocate, BatchMatchesSerialForEveryThreadCount) {
 
 TEST(EngineLocate, SingleQueryMatchesBatchAndCachesReplay) {
   LocateEngineFixture fx;
-  OracleEngine engine(*fx.svc, OracleOptions{4, 1024});
+  OracleEngine engine(fx.epoch, OracleOptions{4, 1024});
   const std::vector<LocateQuery> queries = fx.random_queries(200, 9);
   const std::vector<LocateResult> batch = engine.locate_batch(queries);
   for (std::size_t i = 0; i < queries.size(); ++i) {
     EXPECT_EQ(engine.locate(queries[i].first, queries[i].second), batch[i]);
   }
-  const std::size_t first_hits = engine.last_batch_stats().cache_hits;
+  const EngineTotals first = engine.totals();
+  const std::size_t first_hits = first.cache_hits;
   const std::vector<LocateResult> again = engine.locate_batch(queries);
-  EXPECT_EQ(engine.last_batch_stats().cache_hits, queries.size());
+  EXPECT_EQ((engine.totals() - first).cache_hits, queries.size());
   EXPECT_EQ(again, batch);
   EXPECT_LT(first_hits, queries.size());
 }
 
 TEST(EngineLocate, ValidatesQueries) {
   LocateEngineFixture fx;
-  OracleEngine engine(*fx.svc, OracleOptions{2, 0});
+  OracleEngine engine(fx.epoch, OracleOptions{2, 0});
   const std::vector<LocateQuery> bad_node = {
       {static_cast<NodeId>(fx.prox.n()), 0}};
   EXPECT_THROW(engine.locate_batch(bad_node), Error);
@@ -472,12 +480,14 @@ TEST(EngineLocate, ValidatesQueries) {
 
 TEST(EngineLocate, StatsAccumulateAcrossLocateBatches) {
   LocateEngineFixture fx;
-  OracleEngine engine(*fx.svc, OracleOptions{2, 0});
+  OracleEngine engine(fx.epoch, OracleOptions{2, 0});
   const std::vector<LocateQuery> queries = fx.random_queries(100, 5);
   engine.locate_batch(queries);
+  const EngineTotals first = engine.totals();
   engine.locate_batch(queries);
-  EXPECT_EQ(engine.last_batch_stats().queries, queries.size());
-  EXPECT_GT(engine.last_batch_stats().qps, 0.0);
+  const EngineTotals second = engine.totals() - first;
+  EXPECT_EQ(second.queries, queries.size());
+  EXPECT_GT(second.qps(), 0.0);
   EXPECT_EQ(engine.totals().batches, 2u);
   EXPECT_EQ(engine.totals().queries, 2 * queries.size());
 }
@@ -486,7 +496,7 @@ TEST(EngineLocate, FixedMaxHopsAppliesToEveryBatch) {
   LocateEngineFixture fx;
   LocateOptions opts;
   opts.max_hops = 0;
-  OracleEngine engine(*fx.svc, OracleOptions{2, 0}, opts);
+  OracleEngine engine(fx.epoch, OracleOptions{2, 0}, opts);
   // Pick a (querier, object) pair where the querier holds no copy, so a
   // 0-hop budget cannot deliver.
   for (const auto& [querier, obj] : fx.random_queries(50, 21)) {
@@ -498,14 +508,14 @@ TEST(EngineLocate, FixedMaxHopsAppliesToEveryBatch) {
   FAIL() << "no non-holder query pair found";
 }
 
-TEST(EngineLocate, AttachToEstimateEngineChecksNodeCount) {
+TEST(EngineLocate, ApplyToEstimateEngineChecksNodeCount) {
   LocateEngineFixture fx;
-  // A labeling over a different node count must be rejected.
+  // An epoch over a different node count than the labeling is rejected.
   EuclideanMetric other(random_cube_metric(48, 2, 23));
   DenseProximityIndex other_prox(other);
   NeighborSystem other_sys(other_prox, 0.25);
   OracleEngine engine(DistanceLabeling(other_sys), OracleOptions{2, 0});
-  EXPECT_THROW(engine.attach_location(*fx.svc), Error);
+  EXPECT_THROW(engine.apply(fx.epoch), Error);
   EXPECT_THROW(engine.location(), Error);
   const std::vector<LocateQuery> one = {{0, 0}};
   EXPECT_THROW(engine.locate_batch(one), Error);
@@ -513,11 +523,11 @@ TEST(EngineLocate, AttachToEstimateEngineChecksNodeCount) {
 
 TEST(EngineLocate, EstimateAndLocateServeSideBySide) {
   // One engine, both snapshot kinds: estimates from the labeling, locates
-  // from the attached service, over the same universe.
+  // from the applied epoch, over the same universe.
   LocateEngineFixture fx;
   NeighborSystem sys(fx.prox, 0.25);
   OracleEngine engine(DistanceLabeling(sys), OracleOptions{2, 128});
-  engine.attach_location(*fx.svc);
+  engine.apply(fx.epoch);
   EXPECT_TRUE(engine.has_labeling());
   EXPECT_TRUE(engine.has_location());
   const std::vector<QueryPair> pairs = {{0, 5}, {9, 2}};
@@ -529,7 +539,7 @@ TEST(EngineLocate, EstimateAndLocateServeSideBySide) {
     EXPECT_EQ(located[i], fx.svc->locate(queries[i].first,
                                          queries[i].second));
   }
-  EXPECT_THROW(engine.attach_location(*fx.svc), Error);  // already attached
+  EXPECT_THROW(engine.apply(fx.epoch), Error);  // epoch ids must increase
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 // and the batched engine must answer bit-identically to the serial decoder
 // for every thread count and cache configuration.
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <algorithm>
 #include <array>
@@ -236,16 +237,18 @@ TEST(LruShard, DuplicatePutRefreshesRecency) {
   EXPECT_EQ(cache.keys_by_recency().back(), 1u);  // most recent last
 }
 
-TEST(LruShard, ClearDropsEntriesKeepsHitAccounting) {
+TEST(LruShard, ClearDropsEntries) {
   LruShard<int> cache(3);
   cache.put(1, 10);
   int out = 0;
   ASSERT_TRUE(cache.get(1, out));
-  EXPECT_EQ(cache.hits(), 1u);
   cache.clear();
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_FALSE(cache.get(1, out));
-  EXPECT_EQ(cache.hits(), 1u);  // hits are per-batch accounting, not state
+  // A cleared shard is reusable: entries go back in as usual.
+  cache.put(1, 11);
+  ASSERT_TRUE(cache.get(1, out));
+  EXPECT_EQ(out, 11);
 }
 
 TEST(LruShard, ZeroCapacityIsDisabledNoOp) {
@@ -959,10 +962,11 @@ TEST_F(EngineTest, CacheHitsOnRepeatedQueries) {
   OracleEngine engine(fx_.dls, OracleOptions{4, 1024});
   const std::vector<QueryPair> pairs = random_pairs(200, fx_.dls.n(), 9);
   engine.estimate_batch(pairs);
-  const std::size_t first_hits = engine.last_batch_stats().cache_hits;
+  const EngineTotals first = engine.totals();
+  const std::size_t first_hits = first.cache_hits;
   const std::vector<Dist> again = engine.estimate_batch(pairs);
   // Replay: every query hits (same shard, same key, capacity not exceeded).
-  EXPECT_EQ(engine.last_batch_stats().cache_hits, pairs.size());
+  EXPECT_EQ((engine.totals() - first).cache_hits, pairs.size());
   std::vector<Dist> expected;
   for (const auto& [u, v] : pairs) {
     expected.push_back(
@@ -979,8 +983,9 @@ TEST_F(EngineTest, SymmetricPairsShareCacheEntries) {
   const std::vector<QueryPair> forward = {{1, 2}, {3, 4}};
   const std::vector<QueryPair> reversed = {{2, 1}, {4, 3}};
   const std::vector<Dist> a = engine.estimate_batch(forward);
+  const EngineTotals before = engine.totals();
   const std::vector<Dist> b = engine.estimate_batch(reversed);
-  EXPECT_EQ(engine.last_batch_stats().cache_hits, reversed.size());
+  EXPECT_EQ((engine.totals() - before).cache_hits, reversed.size());
   EXPECT_EQ(a, b);
 }
 
@@ -990,8 +995,9 @@ TEST_F(EngineTest, LruEvictsLeastRecentlyUsed) {
   OracleEngine engine(fx_.dls, OracleOptions{1, 2});
   auto run_one = [&](NodeId u, NodeId v) {
     const std::vector<QueryPair> one = {{u, v}};
+    const EngineTotals before = engine.totals();
     engine.estimate_batch(one);
-    return engine.last_batch_stats().cache_hits;
+    return (engine.totals() - before).cache_hits;
   };
   EXPECT_EQ(run_one(0, 1), 0u);
   EXPECT_EQ(run_one(0, 2), 0u);
@@ -1005,9 +1011,11 @@ TEST_F(EngineTest, StatsAccumulate) {
   OracleEngine engine(fx_.dls, OracleOptions{2, 0});
   const std::vector<QueryPair> pairs = random_pairs(100, fx_.dls.n(), 5);
   engine.estimate_batch(pairs);
+  const EngineTotals first = engine.totals();
   engine.estimate_batch(pairs);
-  EXPECT_EQ(engine.last_batch_stats().queries, pairs.size());
-  EXPECT_GT(engine.last_batch_stats().qps, 0.0);
+  const EngineTotals second = engine.totals() - first;
+  EXPECT_EQ(second.queries, pairs.size());
+  EXPECT_GT(second.qps(), 0.0);
   EXPECT_EQ(engine.totals().batches, 2u);
   EXPECT_EQ(engine.totals().queries, 2 * pairs.size());
   EXPECT_GT(engine.totals().seconds, 0.0);
@@ -1025,22 +1033,47 @@ TEST_F(EngineTest, SubTickBatchReportsPositiveQps) {
   OracleEngine engine(fx_.dls, opts);
   const std::vector<QueryPair> pairs = {{0, 1}, {2, 3}};
   engine.estimate_batch(pairs);
-  const BatchStats& stats = engine.last_batch_stats();
+  const EngineTotals stats = engine.totals();
   EXPECT_EQ(stats.queries, pairs.size());
   EXPECT_DOUBLE_EQ(stats.seconds, 1e-9);
-  EXPECT_DOUBLE_EQ(stats.qps, static_cast<double>(pairs.size()) / 1e-9);
+  EXPECT_DOUBLE_EQ(stats.qps(), static_cast<double>(pairs.size()) / 1e-9);
   // An honestly-empty batch still reports zero qps: 0 queries / clamped
   // time, not a fabricated throughput.
   const std::vector<QueryPair> none;
   engine.estimate_batch(none);
-  EXPECT_DOUBLE_EQ(engine.last_batch_stats().qps, 0.0);
+  EXPECT_DOUBLE_EQ((engine.totals() - stats).qps(), 0.0);
 }
 
 TEST_F(EngineTest, EmptyBatchIsFine) {
   OracleEngine engine(fx_.dls, OracleOptions{2, 0});
   const std::vector<QueryPair> none;
   EXPECT_TRUE(engine.estimate_batch(none).empty());
-  EXPECT_EQ(engine.last_batch_stats().queries, 0u);
+  EXPECT_EQ(engine.totals().queries, 0u);
+}
+
+TEST_F(EngineTest, AutoWorkerCountFollowsTheAffinityMask) {
+  // num_threads = 0 sizes the pool from the CPUs this thread may run on,
+  // like every other automatic count (common/parallel.h), not from the
+  // host's core count: pinned to one CPU, the engine runs one worker.
+  cpu_set_t saved;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+  int first_cpu = 0;
+  while (!CPU_ISSET(first_cpu, &saved)) ++first_cpu;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(first_cpu, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  unsigned workers = 0;
+  std::vector<Dist> got;
+  {
+    OracleEngine engine(fx_.dls, OracleOptions{0, 0});
+    workers = engine.num_workers();
+    const std::vector<QueryPair> pairs = {{0, 5}, {3, 9}};
+    got = engine.estimate_batch(pairs);
+  }
+  ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+  EXPECT_EQ(workers, 1u);
+  EXPECT_EQ(got.size(), 2u);
 }
 
 TEST(DistanceLabelingParts, UnsortedZetaRejected) {

@@ -4,16 +4,13 @@
 // (idempotent handles, kind and name validation), both scrape
 // serializations, the sampled locate-trace sink, and the engine/service
 // integration with an injected FakeClock.
-//
-// Tests that assert recorded VALUES skip under -DRON_TELEMETRY=OFF (every
-// mutation is a no-op there by design); contract tests (validation, empty
-// behavior, merge algebra on hand-built snapshots) run in both modes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -43,8 +40,7 @@ const T* find_metric(const MetricsRegistry& r, std::string_view name) {
   return nullptr;
 }
 
-/// Hand-built snapshot (plain data, independent of the recording no-op in
-/// RON_TELEMETRY=OFF builds).
+/// Hand-built snapshot (plain data, independent of any recording path).
 HistogramSnapshot make_snapshot(const std::vector<double>& values) {
   HistogramSnapshot s;
   for (double v : values) {
@@ -62,7 +58,7 @@ TEST(TelemetryPrimitives, CounterSumsItsShards) {
   c.add(0);
   c.add(1, 5);
   c.add_single_owner(3, 2);  // fast path is observationally identical
-  EXPECT_EQ(c.value(), kTelemetryEnabled ? 8u : 0u);
+  EXPECT_EQ(c.value(), 8u);
   EXPECT_EQ(c.name(), "ron_test_events_total");
   EXPECT_EQ(c.kind(), MetricKind::kCounter);
 }
@@ -71,7 +67,7 @@ TEST(TelemetryPrimitives, GaugeIsLastWriteWins) {
   Gauge g("ron_test_level");
   g.set(1.5);
   g.set(-2.25);
-  EXPECT_EQ(g.value(), kTelemetryEnabled ? -2.25 : 0.0);
+  EXPECT_EQ(g.value(), -2.25);
 }
 
 TEST(TelemetryPrimitives, BucketBoundariesAreExactPowersOfTwo) {
@@ -114,7 +110,6 @@ TEST(TelemetryPrimitives, BucketBoundariesAreExactPowersOfTwo) {
 }
 
 TEST(TelemetryPrimitives, HistogramRecordsExactStatsAcrossShards) {
-  if (!kTelemetryEnabled) GTEST_SKIP() << "recording is compiled out";
   Histogram h("ron_test_seconds", 2);
   h.record(0, 4.0);
   h.record(0, 4.0);
@@ -148,7 +143,6 @@ TEST(TelemetryPrimitives, HistogramRecordsExactStatsAcrossShards) {
 }
 
 TEST(TelemetryPrimitives, HistogramBatchMergeMatchesDirectRecords) {
-  if (!kTelemetryEnabled) GTEST_SKIP() << "recording is compiled out";
   // The batch-local path the engine uses: accumulate into a plain
   // HistogramSnapshot, fold it in with one merge_single_owner call. Must
   // be observationally identical to per-sample record().
@@ -292,18 +286,26 @@ TEST(TelemetryRegistry, JsonSnapshotShape) {
             std::string::npos);
   EXPECT_NE(json.find("\"ron_test_lat_seconds\":{\"type\":\"histogram\""),
             std::string::npos);
-  if (kTelemetryEnabled) {
-    EXPECT_NE(json.find("\"value\":7"), std::string::npos);
-    EXPECT_NE(json.find("\"count\":2"), std::string::npos);
-    EXPECT_NE(json.find("[\"+Inf\",1]"), std::string::npos);
-    EXPECT_NE(json.find("\"p999\":"), std::string::npos);
-  } else {
-    // Disabled builds still scrape a well-formed (all-zero, quantile-free)
-    // snapshot.
-    EXPECT_NE(json.find("\"value\":0"), std::string::npos);
-    EXPECT_NE(json.find("\"count\":0"), std::string::npos);
-    EXPECT_EQ(json.find("\"p999\":"), std::string::npos);
-  }
+  EXPECT_NE(json.find("\"value\":7"), std::string::npos);
+  EXPECT_NE(json.find("\"count\":2"), std::string::npos);
+  EXPECT_NE(json.find("[\"+Inf\",1]"), std::string::npos);
+  EXPECT_NE(json.find("\"p999\":"), std::string::npos);
+}
+
+TEST(TelemetryRegistry, UnrecordedRegistryScrapesAllZeroWithoutQuantiles) {
+  // Metrics registered but never recorded into still scrape a well-formed
+  // (all-zero, quantile-free) snapshot: an empty histogram has no
+  // quantiles to report.
+  MetricsRegistry r(2);
+  r.counter("ron_test_hits_total");
+  r.gauge("ron_test_n");
+  r.histogram("ron_test_lat_seconds");
+  const std::string json = r.to_json();
+  EXPECT_EQ(json.front(), '{');
+  EXPECT_EQ(json.back(), '}');
+  EXPECT_NE(json.find("\"value\":0"), std::string::npos);
+  EXPECT_NE(json.find("\"count\":0"), std::string::npos);
+  EXPECT_EQ(json.find("\"p999\":"), std::string::npos);
 }
 
 TEST(TelemetryRegistry, PrometheusExpositionShape) {
@@ -326,11 +328,9 @@ TEST(TelemetryRegistry, PrometheusExpositionShape) {
   EXPECT_NE(text.find("ron_test_lat_seconds_sum"), std::string::npos);
   EXPECT_NE(text.find("ron_test_lat_seconds_bucket{le=\"+Inf\"}"),
             std::string::npos);
-  if (kTelemetryEnabled) {
-    EXPECT_NE(text.find("ron_test_hits_total 3"), std::string::npos);
-    EXPECT_NE(text.find("ron_test_lat_seconds_bucket{le=\"1\"} 1"),
-              std::string::npos);
-  }
+  EXPECT_NE(text.find("ron_test_hits_total 3"), std::string::npos);
+  EXPECT_NE(text.find("ron_test_lat_seconds_bucket{le=\"1\"} 1"),
+            std::string::npos);
 }
 
 TEST(TelemetryRegistry, MergedDumpRejectsDuplicateNames) {
@@ -454,21 +454,21 @@ TEST(TelemetryEngine, EstimateServingRecordsExactCountsUnderFakeClock) {
     pairs.emplace_back(i, static_cast<NodeId>((i + 7) % 48));
   }
   const auto r1 = engine.estimate_batch(pairs);
+  const EngineTotals first = engine.totals();
   const auto r2 = engine.estimate_batch(pairs);
   EXPECT_EQ(r1, r2);
-  EXPECT_EQ(engine.last_batch_stats().cache_hits, 48u);
+  EXPECT_EQ((engine.totals() - first).cache_hits, 48u);
 
-  // Lifetime totals are always live, telemetry build or not. With a frozen
-  // clock each batch's elapsed time clamps to the 1ns clock resolution
-  // (sub-tick batches must never report qps = 0), so the busy time is
-  // exactly one tick per batch.
+  // Lifetime totals, read from the registry. With a frozen clock each
+  // batch's elapsed time clamps to the 1ns clock resolution (sub-tick
+  // batches must never report qps = 0), so the busy time is exactly one
+  // tick per batch.
   const EngineTotals totals = engine.totals();
   EXPECT_EQ(totals.batches, 2u);
   EXPECT_EQ(totals.queries, 96u);
   EXPECT_EQ(totals.cache_hits, 48u);
   EXPECT_EQ(totals.seconds, 2e-9);
 
-  if (!kTelemetryEnabled) GTEST_SKIP() << "metric recording is compiled out";
   const auto* lat = find_metric<Histogram>(
       engine.metrics(), "ron_engine_estimate_latency_seconds");
   ASSERT_NE(lat, nullptr);
@@ -497,7 +497,10 @@ TEST(TelemetryEngine, EstimateServingRecordsExactCountsUnderFakeClock) {
 TEST(TelemetryEngine, LocateServingFeedsHopMetricsAndTraceSink) {
   ScenarioBuilder builder(ScenarioSpec::parse("metric=euclid,n=64"));
   const ObjectDirectory dir = builder.make_directory(16, 3);
-  const LocationService svc(builder.prox(), builder.rings(), dir);
+  auto epoch = std::make_shared<LocationEpoch>();
+  epoch->service = std::make_shared<const LocationService>(
+      builder.prox(), builder.rings(), dir);
+  const LocationService& svc = *epoch->service;
 
   FakeClock clock;
   TraceSink sink(1, 64);  // sample every cache-miss walk
@@ -506,7 +509,7 @@ TEST(TelemetryEngine, LocateServingFeedsHopMetricsAndTraceSink) {
   opts.cache_capacity = 128;
   opts.clock = &clock;
   opts.trace_sink = &sink;
-  OracleEngine engine(svc, opts);
+  OracleEngine engine(epoch, opts);
 
   Rng rng(7);
   std::vector<LocateQuery> queries;
@@ -516,12 +519,6 @@ TEST(TelemetryEngine, LocateServingFeedsHopMetricsAndTraceSink) {
   }
   const auto results = engine.locate_batch(queries);
   ASSERT_EQ(results.size(), queries.size());
-
-  if (!kTelemetryEnabled) {
-    // The trace path is compiled out with the rest of the recording.
-    EXPECT_EQ(sink.recorded(), 0u);
-    GTEST_SKIP() << "metric recording is compiled out";
-  }
 
   const auto* hits = find_metric<Counter>(
       engine.metrics(), "ron_engine_locate_cache_hits_total");

@@ -39,7 +39,6 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -444,9 +443,9 @@ int cmd_query(const Args& args) {
     std::cout << pairs[i].first << " " << pairs[i].second << " " << est[i]
               << "\n";
   }
-  const BatchStats& stats = engine.last_batch_stats();
+  const EngineTotals stats = engine.totals();
   std::cout << "# " << stats.queries << " queries in "
-            << stats.seconds * 1e3 << " ms (" << stats.qps << " qps, "
+            << stats.seconds * 1e3 << " ms (" << stats.qps() << " qps, "
             << stats.cache_hits << " cache hits, " << engine.num_workers()
             << " workers)\n";
   write_metrics_out(args, {&engine.metrics()});
@@ -473,12 +472,10 @@ int cmd_bench(const Args& args) {
     }
   }
   // Either serve a snapshot from disk or build the scenario in memory —
-  // the same engine path either way. The builder (and the directory /
-  // location service borrowed from it below) must outlive the engine,
-  // hence the function-scope declarations before its construction.
+  // the same engine path either way. The builder must outlive the engine
+  // (the locate epoch below borrows its index and rings), hence the
+  // function-scope declaration before its construction.
   std::unique_ptr<ScenarioBuilder> builder;
-  std::optional<ObjectDirectory> dir;
-  std::optional<LocationService> svc;
   DistanceLabeling labeling = [&] {
     if (from_spec) {
       builder = std::make_unique<ScenarioBuilder>(
@@ -508,29 +505,29 @@ int cmd_bench(const Args& args) {
 
   Rng rng(parse_u64(args.get("seed", "7"), "--seed"));
   std::size_t done = 0;
-  double seconds = 0.0;
-  std::size_t hits = 0;
   while (done < queries) {
     const std::size_t count = std::min(batch, queries - done);
-    const std::vector<QueryPair> pairs = random_query_pairs(count, n, rng);
-    engine.estimate_batch(pairs);
-    seconds += engine.last_batch_stats().seconds;
-    hits += engine.last_batch_stats().cache_hits;
+    engine.estimate_batch(random_query_pairs(count, n, rng));
     done += count;
   }
+  const EngineTotals estimates = engine.totals();
 
   // Scenario benches also exercise the locate path: a synthetic directory
-  // over the freshly built overlay, served through the same engine.
-  std::size_t locate_done = 0;
-  double locate_seconds = 0.0;
-  std::size_t locate_hits = 0;
+  // over the freshly built overlay, applied to the same engine as its
+  // first epoch.
+  EngineTotals locates;
   if (from_spec) {
     const std::size_t locate_queries = static_cast<std::size_t>(parse_u64(
         args.get("locate-queries", "10000"), "--locate-queries"));
     if (locate_queries > 0) {
-      dir.emplace(builder->make_directory(16, 3));
-      svc.emplace(builder->prox(), builder->rings(), *dir);
-      engine.attach_location(*svc);
+      auto epoch = std::make_shared<LocationEpoch>();
+      auto dir = std::make_shared<const ObjectDirectory>(
+          builder->make_directory(16, 3));
+      epoch->service = std::make_shared<const LocationService>(
+          builder->prox(), builder->rings(), *dir);
+      epoch->directory = dir;
+      engine.apply(std::move(epoch));
+      std::size_t locate_done = 0;
       while (locate_done < locate_queries) {
         const std::size_t count =
             std::min(batch, locate_queries - locate_done);
@@ -541,28 +538,23 @@ int cmd_bench(const Args& args) {
                           static_cast<ObjectId>(rng.index(dir->num_objects())));
         }
         engine.locate_batch(lq);
-        locate_seconds += engine.last_batch_stats().seconds;
-        locate_hits += engine.last_batch_stats().cache_hits;
         locate_done += count;
       }
+      locates = engine.totals() - estimates;
     }
   }
 
   std::cout << "{\"tool\":\"ron_oracle bench\",\"n\":" << n
-            << ",\"queries\":" << done << ",\"batch\":" << batch
+            << ",\"queries\":" << estimates.queries << ",\"batch\":" << batch
             << ",\"threads\":" << engine.num_workers()
-            << ",\"cache_hits\":" << hits << ",\"seconds\":" << seconds
-            << ",\"qps\":" << (seconds > 0.0
-                                   ? static_cast<double>(done) / seconds
-                                   : 0.0);
-  if (locate_done > 0) {
-    std::cout << ",\"locate_queries\":" << locate_done
-              << ",\"locate_cache_hits\":" << locate_hits
-              << ",\"locate_seconds\":" << locate_seconds
-              << ",\"locate_qps\":"
-              << (locate_seconds > 0.0
-                      ? static_cast<double>(locate_done) / locate_seconds
-                      : 0.0);
+            << ",\"cache_hits\":" << estimates.cache_hits
+            << ",\"seconds\":" << estimates.seconds
+            << ",\"qps\":" << estimates.qps();
+  if (locates.queries > 0) {
+    std::cout << ",\"locate_queries\":" << locates.queries
+              << ",\"locate_cache_hits\":" << locates.cache_hits
+              << ",\"locate_seconds\":" << locates.seconds
+              << ",\"locate_qps\":" << locates.qps();
   }
   std::cout << "}\n";
   write_metrics_out(args,
@@ -649,8 +641,8 @@ LocateState load_locate_state(const std::string& path, const Args& args) {
       std::make_shared<const ObjectDirectory>(std::move(loaded.directory));
   // The builder outlives the epoch (LocateState declares it first), so the
   // service borrows its rings directly — no point deep-copying the whole
-  // ring structure; epoch->rings stays null as the legacy-borrow contract
-  // allows.
+  // ring structure; epoch->rings stays null, as LocationEpoch allows when
+  // the rings' owner outlives the epoch.
   epoch->service = std::make_shared<const LocationService>(
       state.builder->prox(), state.builder->rings(), *directory);
   epoch->directory = std::move(directory);
@@ -689,7 +681,9 @@ std::vector<LocateQuery> random_servable_locates(const LocateState& state,
 /// every walk delivered within the hop bound.
 int serve_locates(OracleEngine& engine, const ObjectDirectory& dir,
                   std::span<const LocateQuery> queries) {
+  const EngineTotals before = engine.totals();
   const std::vector<LocateResult> results = engine.locate_batch(queries);
+  const EngineTotals stats = engine.totals() - before;
   const std::size_t hop_bound = location_hop_bound(engine.n());
   std::size_t found = 0;
   std::size_t max_hops = 0;
@@ -709,9 +703,8 @@ int serve_locates(OracleEngine& engine, const ObjectDirectory& dir,
               << " nearest " << r.nearest_dist << " stretch "
               << r.route_stretch << "\n";
   }
-  const BatchStats& stats = engine.last_batch_stats();
   std::cout << "# " << found << "/" << results.size() << " located in "
-            << stats.seconds * 1e3 << " ms (" << stats.qps << " qps, "
+            << stats.seconds * 1e3 << " ms (" << stats.qps() << " qps, "
             << stats.cache_hits << " cache hits, " << engine.num_workers()
             << " workers); max hops " << max_hops << " (bound " << hop_bound
             << "), max stretch " << max_stretch << "\n";
