@@ -181,6 +181,8 @@ BENCHMARK(BM_BasicSchemeBuild)->Arg(128)->Arg(256);
 // anywhere), runs a locate sweep against the Theorem 5.2(a) hop bound, and
 // prints one machine-readable {...} line that run_all.sh embeds in the
 // BENCH artifact. run_all.sh passes n=10^5 in quick mode, 10^6 otherwise.
+// probes_per_locate counts the distances the pruned greedy steps evaluate;
+// a full scan would cost at least hops x avg_out_degree.
 
 double peak_rss_mb() {
   struct rusage ru {};
@@ -215,11 +217,13 @@ void run_sparse_scale(std::size_t n) {
   std::size_t max_hops = 0;
   std::size_t violations = 0;
   std::size_t found = 0;
+  std::uint64_t probes = 0;
   Stopwatch locate_watch(clock);
   for (std::size_t q = 0; q < queries; ++q) {
     const NodeId querier = static_cast<NodeId>(rng.index(n));
     const LocateResult res =
-        service.locate(querier, static_cast<ObjectId>(q % objects));
+        service.locate(querier, static_cast<ObjectId>(q % objects), {},
+                       nullptr, &probes);
     if (res.found) ++found;
     if (res.hops > max_hops) max_hops = res.hops;
     if (!res.found || res.hops > bound) ++violations;
@@ -242,7 +246,9 @@ void run_sparse_scale(std::size_t n) {
             << ",\"locate_queries\":" << queries << ",\"locate_found\":"
             << found << ",\"locate_max_hops\":" << max_hops
             << ",\"hop_bound\":" << bound << ",\"hop_violations\":"
-            << violations << ",\"locate_qps\":" << qps << "}}" << std::endl;
+            << violations << ",\"probes_per_locate\":"
+            << static_cast<double>(probes) / static_cast<double>(queries)
+            << ",\"locate_qps\":" << qps << "}}" << std::endl;
 }
 
 }  // namespace

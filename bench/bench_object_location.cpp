@@ -21,6 +21,7 @@
 
 #include "analysis/report.h"
 #include "common/csv.h"
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/table.h"
@@ -86,7 +87,8 @@ double run_locate_qps(const std::shared_ptr<const LocationEpoch>& epoch,
 
 CaseResult run_case(const std::string& key, const std::string& spec,
                     std::size_t objects, std::size_t replicas,
-                    std::size_t num_queries, std::size_t batch) {
+                    std::size_t num_queries, std::size_t batch,
+                    unsigned workers) {
   // The scenario builder replaces the metric -> nets -> measure -> rings
   // assembly this bench used to repeat inline.
   ScenarioBuilder scenario(ScenarioSpec::parse(spec));
@@ -126,13 +128,13 @@ CaseResult run_case(const std::string& key, const std::string& spec,
   }
   res.hops = summarize(std::move(hop_samples));
 
-  res.qps = run_locate_qps(epoch, 8, 0, queries, batch);
+  res.qps = run_locate_qps(epoch, workers, 0, queries, batch);
   // Replay the workload through a cache sized to hold it: steady-state
   // serving of a hot object set.
   std::vector<LocateQuery> doubled(queries.begin(), queries.end());
   doubled.insert(doubled.end(), queries.begin(), queries.end());
   res.cached_qps =
-      run_locate_qps(epoch, 8, 2 * num_queries, doubled, batch);
+      run_locate_qps(epoch, workers, 2 * num_queries, doubled, batch);
   return res;
 }
 
@@ -151,6 +153,8 @@ int main(int argc, char** argv) {
   const std::size_t replicas = 3;
   const std::size_t num_queries = quick ? 2000 : 20000;
   const std::size_t batch = 1024;
+  // One engine worker per CPU this process may use, never more.
+  const unsigned workers = available_cpus();
 
   std::vector<MetricCase> cases;
   cases.push_back({"geoline",
@@ -169,11 +173,13 @@ int main(int argc, char** argv) {
                  "hop_bound", "max_stretch", "not_found", "qps",
                  "cached_qps"});
   ConsoleTable table({"metric", "n", "hops mean/p99/max", "bound",
-                      "max stretch", "qps (8w)", "cached qps"});
+                      "max stretch",
+                      "qps (" + std::to_string(workers) + "w)",
+                      "cached qps"});
   std::vector<CaseResult> results;
   for (const MetricCase& c : cases) {
     CaseResult r = run_case(c.key, c.spec, objects, replicas, num_queries,
-                            batch);
+                            batch, workers);
     table.add_row({r.key, std::to_string(r.n), fmt_hops_cell(r.hops),
                    std::to_string(r.hop_bound), fmt_double(r.max_stretch, 3),
                    fmt_double(r.qps, 0), fmt_double(r.cached_qps, 0)});
@@ -231,7 +237,7 @@ int main(int argc, char** argv) {
   std::size_t total_not_found = 0;
   std::size_t total_violations = 0;
   std::cout << "\n{\"bench\":\"object_location\",\"quick\":"
-            << (quick ? 1 : 0);
+            << (quick ? 1 : 0) << ",\"workers\":" << workers;
   for (const CaseResult& r : results) {
     total_not_found += r.not_found;
     total_violations += r.hop_bound_violations;

@@ -1,6 +1,8 @@
 #include "core/rings.h"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <iterator>
 
 #include "common/bits.h"
@@ -19,31 +21,30 @@ void encode_varint(std::vector<std::uint8_t>& out, std::uint64_t x) {
   out.push_back(static_cast<std::uint8_t>(x));
 }
 
-/// Appends [count][first][deltas...] for a sorted-unique id list.
-void encode_ids(std::vector<std::uint8_t>& out,
-                std::span<const NodeId> ids) {
-  encode_varint(out, ids.size());
+/// Appends the varint-delta stream of a sorted-unique id list, no count.
+void encode_deltas(std::vector<std::uint8_t>& out,
+                   std::span<const NodeId> ids) {
   for (std::size_t i = 0; i < ids.size(); ++i) {
     encode_varint(out, i == 0 ? ids[0] : ids[i] - ids[i - 1]);
   }
 }
 
-std::uint64_t read_varint(const std::uint8_t*& p) {
-  std::uint64_t x = 0;
-  int shift = 0;
-  std::uint8_t byte;
-  do {
-    byte = *p++;
-    x |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
-    shift += 7;
-  } while ((byte & 0x80) != 0);
-  return x;
+/// Appends [count][first][deltas...] for a sorted-unique id list.
+void encode_ids(std::vector<std::uint8_t>& out,
+                std::span<const NodeId> ids) {
+  encode_varint(out, ids.size());
+  encode_deltas(out, ids);
 }
 
-/// Advances p past one [count][ids...] group.
-void skip_ids(const std::uint8_t*& p) {
-  const std::uint64_t count = read_varint(p);
-  for (std::uint64_t i = 0; i < count; ++i) read_varint(p);
+/// hi_0 of the bands an index gives: its dmin, or +inf (one unbounded
+/// band) without an index or a positive normal dmin (the band encoder
+/// reads bands off binary exponents, which needs a normal hi_0).
+Dist band_base(const ProximityIndex* index) {
+  if (index == nullptr || !(index->dmin() > 0.0) ||
+      !std::isnormal(index->dmin())) {
+    return kInfDist;
+  }
+  return index->dmin();
 }
 
 /// Sorts and dedups `ring`, checks its members against n, and merges them
@@ -90,12 +91,92 @@ std::vector<T> concat_parts(std::vector<Part>& parts,
 struct RingsOfNeighbors::SealedPart {
   std::vector<std::uint8_t> blob;       // per ring: [count][ids...]
   std::vector<double> scales;           // one per ring
-  std::vector<std::uint8_t> nbr_blob;   // per node: union deltas, no count
+  std::vector<std::uint8_t> nbr_blob;   // per node: directory + streams
   // Per node, in node order:
   std::vector<std::uint64_t> blob_end;  // end offset into blob
   std::vector<std::uint64_t> ring_end;  // end index into scales
   std::vector<std::uint64_t> nbr_end;   // end offset into nbr_blob
   std::vector<std::uint32_t> degree;    // neighbor-union size
+};
+
+/// Writes one node's neighbor union in the banded layout (rings.h): the
+/// band of each contact from an exact edge table hi_k = ldexp(dmin, k),
+/// then a stable counting sort by band, so ids stay ascending within a
+/// band. One per worker; the scratch vectors are reused across nodes.
+class RingsOfNeighbors::Bander {
+ public:
+  explicit Bander(const ProximityIndex* index)
+      : index_(index),
+        base_(band_base(index)),
+        base_exponent_(biased_exponent(base_)) {
+    hi_.push_back(base_);
+    if (std::isfinite(base_)) {
+      while (hi_.back() < index_->dmax()) grow();
+    }
+  }
+
+  void encode(NodeId u, std::span<const NodeId> nbrs,
+              std::vector<std::uint8_t>& out) {
+    band_.assign(nbrs.size(), 0);
+    if (std::isfinite(base_)) {
+      for (std::size_t i = 0; i < nbrs.size(); ++i) {
+        band_[i] = band_of(index_->dist(u, nbrs[i]));
+      }
+    }
+    // end_[k + 1] counts band k, then (prefix sums) ends it.
+    end_.assign(hi_.size() + 1, 0);
+    for (const std::uint32_t k : band_) ++end_[k + 1];
+    for (std::size_t k = 0; k < hi_.size(); ++k) end_[k + 1] += end_[k];
+    sorted_.resize(nbrs.size());
+    for (std::size_t i = 0; i < nbrs.size(); ++i) {
+      sorted_[end_[band_[i]]++] = nbrs[i];
+    }
+    // end_[k] now ends band k, and band k begins where band k - 1 ends.
+    std::size_t bands = 0;
+    streams_.clear();
+    directory_.clear();
+    for (std::size_t k = 0, begin = 0; k < hi_.size(); begin = end_[k++]) {
+      if (end_[k] == begin) continue;
+      ++bands;
+      const std::size_t before = streams_.size();
+      encode_deltas(streams_,
+                    std::span(sorted_).subspan(begin, end_[k] - begin));
+      encode_varint(directory_, k);
+      encode_varint(directory_, end_[k] - begin);
+      encode_varint(directory_, streams_.size() - before);
+    }
+    encode_varint(out, bands);
+    out.insert(out.end(), directory_.begin(), directory_.end());
+    out.insert(out.end(), streams_.begin(), streams_.end());
+  }
+
+ private:
+  static int biased_exponent(Dist d) {
+    return static_cast<int>((std::bit_cast<std::uint64_t>(d) >> 52) & 0x7ff);
+  }
+
+  void grow() {
+    hi_.push_back(std::ldexp(base_, static_cast<int>(hi_.size())));
+  }
+
+  /// The smallest k with d <= hi_[k]. hi_[k] has base_'s exponent plus k,
+  /// so d's exponent names k or k - 1 (0 for d below base_), and one
+  /// comparison with the edge table settles which.
+  std::uint32_t band_of(Dist d) {
+    while (d > hi_.back()) grow();
+    const int k = std::max(0, biased_exponent(d) - base_exponent_);
+    return static_cast<std::uint32_t>(k + (d > hi_[k] ? 1 : 0));
+  }
+
+  const ProximityIndex* index_;
+  Dist base_;
+  int base_exponent_;
+  std::vector<Dist> hi_;             // hi_[k] = ldexp(base_, k)
+  std::vector<std::uint32_t> band_;  // per contact
+  std::vector<std::size_t> end_;     // per band, counting-sort cursor
+  std::vector<NodeId> sorted_;
+  std::vector<std::uint8_t> directory_;
+  std::vector<std::uint8_t> streams_;
 };
 
 RingsOfNeighbors::RingsOfNeighbors(std::size_t n)
@@ -113,8 +194,10 @@ RingsOfNeighbors::RingsOfNeighbors(std::size_t n, RingStorage storage)
 RingsOfNeighbors RingsOfNeighbors::build(std::size_t n,
                                          const RingSampler& sample,
                                          RingStorage storage,
-                                         unsigned num_threads) {
+                                         unsigned num_threads,
+                                         const ProximityIndex* bands) {
   RingsOfNeighbors out(n, storage);
+  out.band_index_ = bands;
   const unsigned workers = resolve_workers(n, num_threads);
   if (storage == RingStorage::kMutable) {
     // Worker slices own disjoint rings_[u]/neighbors_[u] entries.
@@ -138,6 +221,7 @@ RingsOfNeighbors RingsOfNeighbors::build(std::size_t n,
     // Encode into a local part (no cache-line sharing with the other
     // workers' vector headers), handed off once the slice is done.
     SealedPart part;
+    Bander bander(bands);
     std::vector<Ring> rings;
     std::vector<NodeId> nbrs;
     for (auto u = static_cast<NodeId>(begin); u < end; ++u) {
@@ -145,7 +229,7 @@ RingsOfNeighbors RingsOfNeighbors::build(std::size_t n,
       nbrs.clear();
       sample(u, rings);
       for (Ring& ring : rings) absorb_ring(ring, nbrs, n);
-      encode_node(rings, nbrs, part);
+      encode_node(u, rings, nbrs, bander, part);
     }
     parts[t] = std::move(part);
   });
@@ -287,18 +371,14 @@ std::uint64_t RingsOfNeighbors::pointer_bits(NodeId u) const {
   return out_degree(u) * bits_for_index(n_);
 }
 
-void RingsOfNeighbors::encode_node(std::span<const Ring> rings,
+void RingsOfNeighbors::encode_node(NodeId u, std::span<const Ring> rings,
                                    std::span<const NodeId> nbrs,
-                                   SealedPart& part) {
+                                   Bander& bander, SealedPart& part) {
   for (const Ring& ring : rings) {
     part.scales.push_back(ring.scale);
     encode_ids(part.blob, ring.members);
   }
-  // The neighbor blob omits the count prefix: degree already holds it, and
-  // the walk passes it to decode_ids directly.
-  for (std::size_t i = 0; i < nbrs.size(); ++i) {
-    encode_varint(part.nbr_blob, i == 0 ? nbrs[0] : nbrs[i] - nbrs[i - 1]);
-  }
+  bander.encode(u, nbrs, part.nbr_blob);
   part.blob_end.push_back(part.blob.size());
   part.ring_end.push_back(part.scales.size());
   part.nbr_end.push_back(part.nbr_blob.size());
@@ -334,25 +414,31 @@ void RingsOfNeighbors::adopt(std::vector<SealedPart> parts) {
     total_degree_ += d;
     max_degree_ = std::max<std::size_t>(max_degree_, d);
   }
+  band_base_ = band_base(band_index_);
+  band_index_ = nullptr;
   sealed_ = true;
 }
 
 void RingsOfNeighbors::seal() {
   if (sealed_) return;
-  std::vector<SealedPart> parts(1);
-  SealedPart& part = parts[0];
-  std::size_t total_rings = 0;
-  for (const auto& node_rings : rings_) total_rings += node_rings.size();
-  part.scales.reserve(total_rings);
-  for (NodeId u = 0; u < n_; ++u) {
-    encode_node(rings_[u], neighbors_[u], part);
-    // Free each node's mutable storage as it is encoded, so the peak is
-    // one representation plus a single node, not two full copies.
-    rings_[u].clear();
-    rings_[u].shrink_to_fit();
-    neighbors_[u].clear();
-    neighbors_[u].shrink_to_fit();
-  }
+  const unsigned workers = resolve_workers(n_, 0);
+  std::vector<SealedPart> parts(workers);
+  // Worker slices own disjoint rings_[u]/neighbors_[u] entries.
+  run_slices(n_, workers, [&](unsigned t, std::size_t begin,
+                              std::size_t end) {
+    SealedPart part;
+    Bander bander(band_index_);
+    for (auto u = static_cast<NodeId>(begin); u < end; ++u) {
+      encode_node(u, rings_[u], neighbors_[u], bander, part);
+      // Free each node's mutable storage as it is encoded, so the peak is
+      // one representation plus a node per worker, not two full copies.
+      rings_[u].clear();
+      rings_[u].shrink_to_fit();
+      neighbors_[u].clear();
+      neighbors_[u].shrink_to_fit();
+    }
+    parts[t] = std::move(part);
+  });
   rings_.clear();
   rings_.shrink_to_fit();
   neighbors_.clear();
@@ -379,9 +465,32 @@ void RingsOfNeighbors::visit_ring(
     return;
   }
   const std::uint8_t* p = blob_.data() + node_blob_begin_[u];
-  for (std::size_t k = 0; k < ring_index; ++k) skip_ids(p);
+  for (std::size_t k = 0; k < ring_index; ++k) {
+    const std::uint64_t count = read_varint(p);
+    p = decode_ids(p, count, [](NodeId) {});
+  }
   const std::uint64_t count = read_varint(p);
   decode_ids(p, count, fn);
+}
+
+void RingsOfNeighbors::visit_bands(
+    NodeId u,
+    const std::function<void(int, Dist, Dist, std::span<const NodeId>)>& fn)
+    const {
+  if (!sealed_) {
+    fn(0, 0.0, kInfDist, all_neighbors(u));
+    return;
+  }
+  std::vector<NodeId> ids;
+  with_bands(u, [&](std::span<const Band> bands,
+                    const std::uint8_t* streams) {
+    for (const Band& b : bands) {
+      ids.clear();
+      decode_ids(streams + b.offset, b.count,
+                 [&](NodeId v) { ids.push_back(v); });
+      fn(b.k, band_lo(b.k), band_hi(b.k), ids);
+    }
+  });
 }
 
 int RingsOfNeighbors::ring_level_of(NodeId u, NodeId v) const {
@@ -392,9 +501,8 @@ int RingsOfNeighbors::ring_level_of(NodeId u, NodeId v) const {
   for (std::size_t k = 0; k < nr; ++k) {
     const std::uint64_t count = read_varint(p);
     bool found = false;
-    decode_ids(p, count, [&](NodeId m) { found = found || m == v; });
+    p = decode_ids(p, count, [&](NodeId m) { found = found || m == v; });
     if (found) return static_cast<int>(k);
-    for (std::uint64_t i = 0; i < count; ++i) read_varint(p);
   }
   return -1;
 }

@@ -26,9 +26,30 @@
 // After sealing, mutators and the span/reference accessors (rings(),
 // all_neighbors()) throw ron::Error; the visitation accessors
 // (visit_neighbors, visit_ring, ring_level_of) and all O(1) accounting
-// (out_degree, max/avg degree, pointer_bits) work in both modes and
-// enumerate members in the same ascending-id order, so walks and snapshot
-// writers behave identically on either representation.
+// (out_degree, max/avg degree, pointer_bits) work in both modes.
+// visit_ring enumerates a ring's members in ascending id order in both
+// modes, so snapshot writers are byte-identical on either representation.
+//
+// Banded neighbor unions. A container sampled over a ProximityIndex (the
+// `bands` argument of build(), kept across copies of a mutable container
+// until seal()) seals each node's neighbor union grouped by distance band:
+// band k holds the contacts c with lo_k < d(u,c) <= hi_k, where
+// hi_k = ldexp(dmin, k), lo_k = hi_{k-1} and lo_0 = 0 (so u itself, at
+// distance 0, sits in band 0). That is the Y rings' radius ladder, so a
+// node has at most num_scales() + 1 bands. Per node the blob holds a band
+// directory — the band count, then (k, contact count, byte length) per
+// non-empty band in ascending k — followed by one ascending varint-delta
+// id stream per band, so a walk can jump to any band without decoding the
+// others. Containers without an index (hand-built, or loaded from a kRings
+// snapshot), or over an index without a positive normal dmin, seal as one
+// unbounded band (lo = 0, hi = +inf).
+//
+// Visit order. visit_neighbors yields each distinct neighbor exactly once:
+// ascending ids on a mutable or unbanded container; band by band, with
+// ascending ids within a band, on a banded one. Nothing may rely on global
+// id order — the greedy walk's lowest-id tie-break is order-independent,
+// and snapshots write through visit_ring. visit_neighbors_near is the
+// greedy step's pruned scan over the same bands (see its comment).
 //
 // Whole overlays are built in bulk by RingsOfNeighbors::build, which runs a
 // per-node sampler over contiguous node slices on every core and, when
@@ -36,6 +57,8 @@
 // form — bit-identical to add_ring() per ring followed by seal().
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <span>
@@ -80,11 +103,14 @@ class RingsOfNeighbors {
   /// (same member range check, same degree totals and maxima), followed
   /// by seal() for RingStorage::kSealed. kSealed encodes each slice into
   /// compact storage as it is sampled, so the mutable form never exists
-  /// for the whole container. A sampler or range-check failure in any
-  /// worker propagates as its original ron::Error.
+  /// for the whole container. A non-null `bands` (the index the sampler
+  /// draws from; it must outlive the container's seal()) bands the sealed
+  /// neighbor unions by distance: during the build for kSealed, at seal()
+  /// for kMutable. A sampler or range-check failure in any worker
+  /// propagates as its original ron::Error.
   static RingsOfNeighbors build(std::size_t n, const RingSampler& sample,
-                                RingStorage storage,
-                                unsigned num_threads = 0);
+                                RingStorage storage, unsigned num_threads = 0,
+                                const ProximityIndex* bands = nullptr);
 
   std::size_t n() const { return n_; }
 
@@ -136,9 +162,11 @@ class RingsOfNeighbors {
   // ---- compact storage -----------------------------------------------
 
   /// Freezes the container into the compact varint-delta representation
-  /// and frees the mutable vectors. Idempotent. After sealing, every
-  /// mutator and the span/reference accessors throw ron::Error; use the
-  /// visit_* accessors instead.
+  /// (banded if the container was built with an index) and frees the
+  /// mutable vectors, encoding node slices on every available CPU; the
+  /// result is the same for any CPU count. Idempotent. After sealing,
+  /// every mutator and the span/reference accessors throw ron::Error; use
+  /// the visit_* accessors instead.
   void seal();
 
   bool sealed() const { return sealed_; }
@@ -151,19 +179,81 @@ class RingsOfNeighbors {
   void visit_ring(NodeId u, std::size_t ring_index,
                   const std::function<void(NodeId)>& fn) const;
 
-  /// Visits u's distinct neighbors in ascending id order (both modes) —
-  /// the compact-mode counterpart of all_neighbors(). Inline so the
-  /// serving walk's greedy scan does not pay an indirect call per member.
+  /// Visits each of u's distinct neighbors once (both modes), in the
+  /// order the header describes: ascending ids, or band by band on a
+  /// banded container. The compact-mode counterpart of all_neighbors();
+  /// inline so a scan does not pay an indirect call per member.
   template <typename Fn>
   void visit_neighbors(NodeId u, Fn&& fn) const {
     if (!sealed_) {
       for (NodeId v : all_neighbors(u)) fn(v);
       return;
     }
-    RON_CHECK(u < n_, "node u=" << u << ", n=" << n_);
-    decode_ids(nbr_blob_.data() + nbr_begin_[u], degree_[u],
-               std::forward<Fn>(fn));
+    with_bands(u, [&](std::span<const Band> bands,
+                      const std::uint8_t* streams) {
+      for (const Band& b : bands) decode_ids(streams + b.offset, b.count, fn);
+    });
   }
+
+  /// The greedy step's pruned scan (the AESA/LAESA elimination rule of
+  /// Micó, Oncina & Vidal, 1994) toward a target t with d(u,t) = `dut`:
+  /// visits u's bands starting at the first band with hi_k >= dut, then
+  /// alternately one band further out and one further in, and stops a
+  /// side at its first band whose triangle-inequality bound
+  ///     d(c,t) >= max(dut - hi_k, lo_k - dut)
+  /// exceeds the live `best_d` (re-read before every band) by more than
+  /// kBandSlack * (dut + hi_k). Bounds only grow outward on each side, so
+  /// every contact skipped has d(c,t) > best_d; the slack keeps the
+  /// rounding in computed distances (tight on colinear points) from
+  /// dropping a candidate. Mutable containers visit every neighbor.
+  template <typename Fn>
+  void visit_neighbors_near(NodeId u, Dist dut, const Dist& best_d,
+                            Fn&& fn) const {
+    if (!sealed_) {
+      visit_neighbors(u, fn);
+      return;
+    }
+    with_bands(u, [&](std::span<const Band> bands,
+                      const std::uint8_t* streams) {
+      auto may_improve = [&](const Band& b) {
+        const Dist hi = band_hi(b.k);
+        return std::max(dut - hi, band_lo(b.k) - dut) <=
+               best_d + kBandSlack * (dut + hi);
+      };
+      std::size_t up = 0;
+      while (up < bands.size() && band_hi(bands[up].k) < dut) ++up;
+      std::size_t down = up;  // bands [0, down) lie below dut
+      while (up < bands.size() || down > 0) {
+        if (up < bands.size()) {
+          if (may_improve(bands[up])) {
+            decode_ids(streams + bands[up].offset, bands[up].count, fn);
+            ++up;
+          } else {
+            up = bands.size();
+          }
+        }
+        if (down > 0) {
+          if (may_improve(bands[down - 1])) {
+            --down;
+            decode_ids(streams + bands[down].offset, bands[down].count, fn);
+          } else {
+            down = 0;
+          }
+        }
+      }
+    });
+  }
+
+  /// Relative slack of visit_neighbors_near's band bound.
+  static constexpr double kBandSlack = 1e-9;
+
+  /// Visits u's bands in ascending k as fn(k, lo_k, hi_k, ids), ids
+  /// ascending (both modes; a mutable or unbanded container reports one
+  /// band k = 0 with lo = 0, hi = +inf). For tests and inspection.
+  void visit_bands(NodeId u,
+                   const std::function<void(int k, Dist lo, Dist hi,
+                                            std::span<const NodeId> ids)>&
+                       fn) const;
 
   /// Ring level of the first ring of u containing v; -1 if none. The
   /// member-function counterpart of the free ring_level_of below, working
@@ -182,10 +272,51 @@ class RingsOfNeighbors {
   /// kSealed starts with no mutable per-node vectors at all.
   RingsOfNeighbors(std::size_t n, RingStorage storage);
 
+  /// Groups a node's neighbor union into distance bands (rings.cpp).
+  class Bander;
+
+  /// One entry of a node's band directory, decoded.
+  struct Band {
+    int k;
+    std::uint32_t count;
+    std::uint64_t offset;  // of the id stream, from the end of the directory
+  };
+
+  /// Band k's edges: hi_k = ldexp(dmin, k), lo_k = hi_{k-1}, lo_0 = 0.
+  Dist band_hi(int k) const { return std::ldexp(band_base_, k); }
+  Dist band_lo(int k) const { return k == 0 ? 0.0 : band_hi(k - 1); }
+
+  /// Decodes u's band directory and calls fn(bands, streams), `streams`
+  /// pointing just past the directory. Directories that fit (up to 32
+  /// bands: an aspect ratio below 2^31) stay on the stack.
+  template <typename Fn>
+  void with_bands(NodeId u, Fn&& fn) const {
+    RON_CHECK(u < n_, "node u=" << u << ", n=" << n_);
+    const std::uint8_t* p = nbr_blob_.data() + nbr_begin_[u];
+    const auto nb = static_cast<std::size_t>(read_varint(p));
+    constexpr std::size_t kInlineBands = 32;
+    Band inline_bands[kInlineBands] = {};
+    std::vector<Band> heap;
+    Band* bands = inline_bands;
+    if (nb > kInlineBands) {
+      heap.resize(nb);
+      bands = heap.data();
+    }
+    std::uint64_t offset = 0;
+    for (std::size_t i = 0; i < nb; ++i) {
+      bands[i].k = static_cast<int>(read_varint(p));
+      bands[i].count = static_cast<std::uint32_t>(read_varint(p));
+      bands[i].offset = offset;
+      offset += read_varint(p);
+    }
+    fn(std::span<const Band>(bands, nb), p);
+  }
+
   /// Appends one node's rings and neighbor union to `part` in the sealed
   /// layout — the one encoder behind both seal() and build(kSealed).
-  static void encode_node(std::span<const Ring> rings,
-                          std::span<const NodeId> nbrs, SealedPart& part);
+  static void encode_node(NodeId u, std::span<const Ring> rings,
+                          std::span<const NodeId> nbrs, Bander& bander,
+                          SealedPart& part);
 
   /// Installs `parts`, covering nodes [0, n) in order, as the sealed
   /// storage (offsets rebased, blobs concatenated with exact capacity).
@@ -193,24 +324,31 @@ class RingsOfNeighbors {
 
   Ring& ring_at(NodeId u, std::size_t ring_index);
 
-  /// Decodes `count` varint-delta ids (first absolute, rest deltas) and
-  /// feeds them to fn in ascending order.
+  /// Reads one LEB128 varint at p and advances p past it.
+  static std::uint64_t read_varint(const std::uint8_t*& p) {
+    std::uint64_t x = 0;
+    int shift = 0;
+    std::uint8_t byte;
+    do {
+      byte = *p++;
+      x |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
+      shift += 7;
+    } while ((byte & 0x80) != 0);
+    return x;
+  }
+
+  /// Decodes `count` varint-delta ids (first absolute, rest deltas), feeds
+  /// them to fn in ascending order and returns the end of the stream.
   template <typename Fn>
-  static void decode_ids(const std::uint8_t* p, std::uint64_t count,
-                         Fn&& fn) {
+  static const std::uint8_t* decode_ids(const std::uint8_t* p,
+                                        std::uint64_t count, Fn&& fn) {
     std::uint64_t acc = 0;
     for (std::uint64_t i = 0; i < count; ++i) {
-      std::uint64_t delta = 0;
-      int shift = 0;
-      std::uint8_t byte;
-      do {
-        byte = *p++;
-        delta |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
-        shift += 7;
-      } while ((byte & 0x80) != 0);
+      const std::uint64_t delta = read_varint(p);
       acc = (i == 0) ? delta : acc + delta;
       fn(static_cast<NodeId>(acc));
     }
+    return p;
   }
   /// O(n) re-derivation of max_degree_; only needed when a mutation shrinks
   /// the node currently holding the maximum (growth keeps the max exact
@@ -224,13 +362,16 @@ class RingsOfNeighbors {
   std::vector<std::vector<NodeId>> neighbors_;  // sorted-unique union per node
   std::size_t max_degree_ = 0;
   std::uint64_t total_degree_ = 0;
+  // The index seal() bands by (mutable mode only; null = one band).
+  const ProximityIndex* band_index_ = nullptr;
 
   // Compact mode (seal()). Ring member sets live in blob_, grouped by node:
   // per ring, a member-count varint followed by the varint-delta ids.
   // Scales are flat per ring; node_ring_first_ slices them per node. The
-  // deduped neighbor unions get their own blob so the serving walk decodes
-  // exactly one delta stream per hop.
+  // deduped neighbor unions get their own blob (band directory + streams)
+  // so the serving walk never touches the ring sets.
   bool sealed_ = false;
+  Dist band_base_ = kInfDist;  // hi_0 = dmin; +inf = one unbounded band
   std::vector<std::uint8_t> blob_;
   std::vector<std::uint64_t> node_blob_begin_;  // n+1 offsets into blob_
   std::vector<std::uint64_t> node_ring_first_;  // n+1 indices into ring_scale_

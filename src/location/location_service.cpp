@@ -34,7 +34,8 @@ LocationService::LocationService(const ProximityIndex& prox,
 
 LocateResult LocationService::locate(NodeId querier, ObjectId obj,
                                      const LocateOptions& opts,
-                                     LocateTrace* trace) const {
+                                     LocateTrace* trace,
+                                     std::uint64_t* probes) const {
   RON_CHECK(querier < n(), "locate: querier " << querier << " out of range");
   const std::span<const NodeId> holders = directory_.holders(obj);
   // Zero-holder contract (see object_directory.h): a live name whose every
@@ -62,11 +63,14 @@ LocateResult LocationService::locate(NodeId querier, ObjectId obj,
   NodeId cur = querier;
   while (cur != target) {
     if (r.hops >= opts.max_hops) return r;  // undelivered
-    // visit_neighbors yields the same contacts in either storage mode
-    // (sealed or mutable), so the walk is bit-identical on both.
+    // The banded scan skips only contacts that cannot win the step, so
+    // the walk is bit-identical on sealed and mutable rings.
     const NodeId next = greedy_next_hop(
         prox_.metric(), cur, target,
-        [&](auto&& visit) { rings_.visit_neighbors(cur, visit); });
+        [&](auto&& visit, Dist dut, const Dist& best_d) {
+          rings_.visit_neighbors_near(cur, dut, best_d, visit);
+        },
+        probes);
     if (next == kInvalidNode || next == cur) return r;  // stuck
     if (trace != nullptr) {
       // Only the traced (sampled) walks pay the ring-level scan.

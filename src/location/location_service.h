@@ -24,6 +24,15 @@
 // (each hop u -> v satisfies d(u,v) <= d(u,t) + d(v,t) < 2 d(u,t)
 // <= 2 d(s,t)), so route_stretch is bounded by twice the hop count, and the
 // hop count by the Theorem 5.2(a) O(log n) bound — see location_hop_bound.
+//
+// Pruning. On sealed rings each greedy step scans u's contacts by distance
+// band (core/rings.h, visit_neighbors_near), starting at the band that
+// holds d(u,t), and skips every band whose triangle-inequality bound
+// max(d(u,t) - hi_k, lo_k - d(u,t)) <= d(c,t) exceeds the best candidate's
+// distance so far. A skipped contact is strictly farther from t than that
+// candidate, so it can be neither the step's argmin nor a lowest-id tie:
+// holders, hops, path lengths and traces are bit-identical to the full
+// scan the mutable rings get, at a fraction of the distance probes.
 #pragma once
 
 #include <cstdint>
@@ -103,9 +112,15 @@ class LocationService {
   /// remaining distance to the target copy. Tracing changes nothing about
   /// the walk; it only adds the per-hop ring-level scan, so callers sample
   /// (see TraceSink) rather than trace every query.
+  ///
+  /// When `probes` is non-null, *probes gains the number of distances the
+  /// walk's greedy steps evaluated — the work pruning saves. It is kept
+  /// out of LocateResult: a pruned and a full walk return equal results
+  /// with different work.
   LocateResult locate(NodeId querier, ObjectId obj,
                       const LocateOptions& opts = {},
-                      LocateTrace* trace = nullptr) const;
+                      LocateTrace* trace = nullptr,
+                      std::uint64_t* probes = nullptr) const;
 
   /// Name-resolving convenience; throws if the name was never published.
   LocateResult locate(NodeId querier, const std::string& object,

@@ -92,6 +92,7 @@ void OracleEngine::init_metrics() {
       &r.histogram("ron_engine_epoch_mu_hold_seconds");
   m_mu_hold_seconds_ = &r.histogram("ron_engine_mu_hold_seconds");
   m_locate_hops_ = &r.histogram("ron_engine_locate_hops");
+  m_locate_probes_ = &r.histogram("ron_engine_locate_probes");
   m_locate_route_stretch_ = &r.histogram("ron_engine_locate_route_stretch");
   m_hop_bound_violations_ =
       &r.counter("ron_engine_locate_hop_bound_violations_total");
@@ -308,6 +309,7 @@ void OracleEngine::process_locate_shard(unsigned w,
   // batch).
   LocalHistogram latency;
   LocalHistogram hops;
+  LocalHistogram probes;
   LocalHistogram stretch;
   std::uint64_t hits_n = 0;
   std::uint64_t misses_n = 0;
@@ -318,16 +320,17 @@ void OracleEngine::process_locate_shard(unsigned w,
     const auto [querier, obj] = queries[i];
     const std::uint64_t key = locate_key(querier, obj);
     LocateResult r;
+    std::uint64_t walk_probes = 0;
     const bool hit = cache.enabled() && cache.get(key, r);
     if (!hit) {
       // Trace only real walks (a cache hit repeats no hops), sampled by
       // the sink so the per-hop ring-level scan stays off the common path.
       if (trace_sink_ != nullptr && trace_sink_->should_sample()) {
         LocateTrace trace;
-        r = svc.locate(querier, obj, locate_opts_, &trace);
+        r = svc.locate(querier, obj, locate_opts_, &trace, &walk_probes);
         trace_sink_->record(std::move(trace));
       } else {
-        r = svc.locate(querier, obj, locate_opts_);
+        r = svc.locate(querier, obj, locate_opts_, nullptr, &walk_probes);
       }
       if (cache.enabled()) cache.put(key, r);
     }
@@ -336,13 +339,14 @@ void OracleEngine::process_locate_shard(unsigned w,
     latency.record(static_cast<double>(t1 - t0) * 1e-9);
     t0 = t1;
     ++(hit ? hits_n : misses_n);
-    // Hop/stretch distributions (and the bound-violation counter) cover
-    // real ring walks only: a cache hit repeats no hops, and counting
+    // Hop/probe/stretch distributions (and the bound-violation counter)
+    // cover real ring walks only: a cache hit repeats no hops, and counting
     // cached copies would skew the overlay's routing distribution toward
     // hot keys (and double-count a violating walk). Histogram counts
     // therefore line up with the miss counter, not the query count.
     if (!hit) {
       hops.record(static_cast<double>(r.hops));
+      probes.record(static_cast<double>(walk_probes));
       if (r.found) {
         stretch.record(r.route_stretch);
       } else {
@@ -353,6 +357,7 @@ void OracleEngine::process_locate_shard(unsigned w,
   }
   m_locate_latency_->merge_single_owner(w, latency.h);
   m_locate_hops_->merge_single_owner(w, hops.h);
+  m_locate_probes_->merge_single_owner(w, probes.h);
   m_locate_route_stretch_->merge_single_owner(w, stretch.h);
   m_locate_cache_hits_->add_single_owner(w, hits_n);
   m_locate_cache_misses_->add_single_owner(w, misses_n);

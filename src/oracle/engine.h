@@ -315,6 +315,7 @@ class OracleEngine {
   Histogram* m_epoch_mu_hold_seconds_ = nullptr;
   Histogram* m_mu_hold_seconds_ = nullptr;
   Histogram* m_locate_hops_ = nullptr;
+  Histogram* m_locate_probes_ = nullptr;
   Histogram* m_locate_route_stretch_ = nullptr;
   Counter* m_hop_bound_violations_ = nullptr;
   Counter* m_locate_not_found_ = nullptr;

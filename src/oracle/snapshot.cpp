@@ -125,12 +125,10 @@ void write_snapshot(SnapshotKind kind, const WireWriter& payload,
   header.u64(payload.size());
   header.u64(snapshot_checksum(version, kind, payload.bytes()));
 
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  RON_CHECK(out.good(), "snapshot: cannot open " << path << " for writing");
-  write_stream_bytes(out, header.bytes(), "header");
-  write_stream_bytes(out, payload.bytes(), "payload");
-  out.flush();
-  RON_CHECK(out.good(), "snapshot: short write to " << path);
+  AtomicFile file(path);
+  write_stream_bytes(file.stream(), header.bytes(), "header");
+  write_stream_bytes(file.stream(), payload.bytes(), "payload");
+  file.commit();
 }
 
 /// Reads and fully validates the file: magic, known version, known kind,

@@ -1,7 +1,13 @@
 #include "oracle/wire.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <atomic>
+#include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <istream>
 #include <ostream>
 
@@ -52,15 +58,66 @@ std::uint64_t fnv1a64(std::span<const std::uint8_t> bytes) {
   return fnv1a64_continue(kFnv1a64Basis, bytes);
 }
 
+// --- atomic replacement ---------------------------------------------------
+
+namespace {
+
+/// `path` + ".tmp.<pid>.<n>": a sibling, so the rename never crosses a
+/// filesystem, and unique per writer, so concurrent saves never share one.
+std::string temp_path_for(const std::string& path) {
+  static std::atomic<std::uint64_t> next{0};
+  return path + ".tmp." + std::to_string(::getpid()) + "." +
+         std::to_string(next.fetch_add(1));
+}
+
+}  // namespace
+
+AtomicFile::AtomicFile(const std::string& path)
+    : path_(path),
+      temp_(temp_path_for(path)),
+      out_(temp_, std::ios::binary | std::ios::trunc) {
+  RON_CHECK(out_.good(), "snapshot: cannot open " << temp_
+                             << " for writing (to replace " << path_
+                             << ")");
+}
+
+AtomicFile::~AtomicFile() {
+  if (committed_) return;
+  out_.close();
+  std::remove(temp_.c_str());
+}
+
+void AtomicFile::commit() {
+  RON_CHECK(!committed_, "snapshot: " << path_ << " committed twice");
+  out_.flush();
+  RON_CHECK(out_.good(), "snapshot: short write to " << temp_);
+  out_.close();
+  const int fd = ::open(temp_.c_str(), O_RDONLY);
+  RON_CHECK(fd >= 0, "snapshot: cannot reopen " << temp_ << " to fsync");
+  const int synced = ::fsync(fd);
+  ::close(fd);
+  RON_CHECK(synced == 0, "snapshot: fsync of " << temp_ << " failed");
+  RON_CHECK(std::rename(temp_.c_str(), path_.c_str()) == 0,
+            "snapshot: cannot rename " << temp_ << " over " << path_);
+  committed_ = true;
+  // Best effort: the new file is in place either way, and not every
+  // filesystem can fsync a directory.
+  const std::filesystem::path dir =
+      std::filesystem::path(path_).parent_path();
+  const int dir_fd =
+      ::open(dir.empty() ? "." : dir.c_str(), O_RDONLY | O_DIRECTORY);
+  if (dir_fd >= 0) {
+    (void)::fsync(dir_fd);
+    ::close(dir_fd);
+  }
+}
+
 // --- streaming writer -----------------------------------------------------
 
 WireStreamWriter::WireStreamWriter(const std::string& path,
                                    std::uint32_t version, std::uint32_t kind,
                                    std::uint64_t checksum_seed)
-    : path_(path),
-      out_(path, std::ios::binary | std::ios::trunc),
-      sum_(checksum_seed) {
-  RON_CHECK(out_.good(), "snapshot: cannot open " << path_ << " for writing");
+    : file_(path), out_(file_.stream()), sum_(checksum_seed) {
   WireWriter header;
   for (std::uint8_t b : kSnapshotMagic) header.u8(b);
   header.u32(version);
@@ -82,7 +139,8 @@ void WireStreamWriter::flush_chunk() {
 }
 
 void WireStreamWriter::finish() {
-  RON_CHECK(!finished_, "snapshot: finish() called twice on " << path_);
+  RON_CHECK(!finished_, "snapshot: finish() called twice on "
+                            << file_.path());
   flush_chunk();
   // Patch the placeholder length/checksum fields (byte offsets 16 and 24:
   // magic[8] + version u32 + kind u32 precede them).
@@ -91,11 +149,9 @@ void WireStreamWriter::finish() {
   tail.u64(sum_);
   out_.seekp(16, std::ios::beg);
   RON_CHECK(out_.good(), "snapshot: cannot seek to patch header of "
-                             << path_);
+                             << file_.path());
   write_stream_bytes(out_, tail.bytes(), "header patch");
-  out_.flush();
-  RON_CHECK(out_.good(), "snapshot: short write to " << path_);
-  out_.close();
+  file_.commit();
   finished_ = true;
 }
 

@@ -53,6 +53,32 @@ std::size_t read_stream_prefix(std::istream& in, std::span<std::uint8_t> bytes);
 /// fnv1a64_continue(fnv1a64(a), b) — the snapshot layer uses it to fold the
 /// header's version/kind fields into the v2 checksum domain without
 /// materializing a concatenated buffer.
+/// A file written beside `path` (same directory, unique temporary name)
+/// and renamed over it by commit() after an fsync, so a kill, crash or
+/// throw mid-save never damages the snapshot already at `path`: readers
+/// see the old file or the whole new one. Destroying an uncommitted
+/// AtomicFile removes the temporary.
+class AtomicFile {
+ public:
+  explicit AtomicFile(const std::string& path);
+  ~AtomicFile();
+  AtomicFile(const AtomicFile&) = delete;
+  AtomicFile& operator=(const AtomicFile&) = delete;
+
+  std::ofstream& stream() { return out_; }
+  const std::string& path() const { return path_; }
+
+  /// Flushes, fsyncs and closes the temporary, renames it over path(),
+  /// then fsyncs the directory so the rename itself survives a crash.
+  void commit();
+
+ private:
+  std::string path_;
+  std::string temp_;
+  std::ofstream out_;
+  bool committed_ = false;
+};
+
 /// Snapshot container framing, shared by the in-memory path (snapshot.cpp)
 /// and the streaming classes below: magic[8] + u32 version + u32 kind +
 /// u64 payload length + u64 checksum, then the payload.
@@ -97,8 +123,10 @@ class WireWriter {
 /// running FNV-1a state and flushed to disk kStreamChunkBytes at a time, so
 /// peak memory is one chunk instead of the whole payload. The snapshot
 /// header is written up front with placeholder length/checksum fields;
-/// finish() seeks back and patches them. The primitive API mirrors
-/// WireWriter, so payload helpers can be written once as templates.
+/// finish() seeks back and patches them. The bytes go to an AtomicFile,
+/// so the target only changes when finish() succeeds. The primitive API
+/// mirrors WireWriter, so payload helpers can be written once as
+/// templates.
 inline constexpr std::size_t kStreamChunkBytes = 1 << 20;
 
 class WireStreamWriter {
@@ -130,10 +158,10 @@ class WireStreamWriter {
   std::uint64_t size() const { return total_ + chunk_.size(); }
 
   /// Flushes the tail chunk, patches the header's payload length and
-  /// checksum, and closes the file. Must be called exactly once for a
-  /// valid snapshot. Destroying an unfinished writer (the exception path)
-  /// leaves the placeholder header in place — an unloadable file, which is
-  /// the safe failure mode.
+  /// checksum, and renames the finished file over the target. Must be
+  /// called exactly once for a valid snapshot. Destroying an unfinished
+  /// writer (the exception path) removes its temporary file and leaves
+  /// whatever the target held before untouched.
   void finish();
 
  private:
@@ -146,8 +174,8 @@ class WireStreamWriter {
     }
   }
 
-  std::string path_;
-  std::ofstream out_;
+  AtomicFile file_;
+  std::ofstream& out_;
   std::vector<std::uint8_t> chunk_;
   std::uint64_t total_ = 0;  // payload bytes already flushed
   std::uint64_t sum_;        // running checksum over flushed bytes

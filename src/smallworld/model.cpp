@@ -28,9 +28,10 @@ double SmallWorldModel::avg_out_degree() const {
 
 NodeId greedy_next_hop(const MetricSpace& d, std::span<const NodeId> contacts,
                        NodeId u, NodeId t) {
-  return greedy_next_hop(d, u, t, [contacts](auto&& visit) {
-    for (NodeId c : contacts) visit(c);
-  });
+  return greedy_next_hop(d, u, t,
+                         [contacts](auto&& visit, Dist, const Dist&) {
+                           for (NodeId c : contacts) visit(c);
+                         });
 }
 
 SwRouteResult route_query(const SmallWorldModel& model, NodeId s, NodeId t,

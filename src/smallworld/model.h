@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/stats.h"
@@ -49,23 +50,41 @@ class SmallWorldModel {
 /// The one greedy step every walk takes (the models, the sim and
 /// LocationService): among the contacts `visit_contacts` yields, the one
 /// strictly closer to t than u and closest to t, the lowest id on ties;
-/// kInvalidNode if no contact makes progress. `visit_contacts(f)` calls
-/// f(NodeId) once per contact, in any order — the tie-break makes the
-/// answer order-independent.
+/// kInvalidNode if no contact makes progress.
+///
+/// `visit_contacts(f, dut, best_d)` calls f(NodeId) once per contact, in
+/// any order — the tie-break makes the answer order-independent. It also
+/// receives dut = d(u,t) and a live reference to the distance of the best
+/// candidate so far (dut until one makes progress), and may skip a contact
+/// c only when d(c,t) > best_d: such a contact can be neither the strict
+/// argmin nor a tie, so pruning that keeps to this rule (the banded scan,
+/// RingsOfNeighbors::visit_neighbors_near) returns exactly the hop a full
+/// scan returns. `probes`, when non-null, gains the number of distances
+/// the step evaluated.
 template <typename VisitContacts>
 NodeId greedy_next_hop(const MetricSpace& d, NodeId u, NodeId t,
-                       VisitContacts&& visit_contacts) {
+                       VisitContacts&& visit_contacts,
+                       std::uint64_t* probes = nullptr) {
   const Dist dut = d.distance(u, t);
   NodeId best = kInvalidNode;
   Dist best_d = dut;  // must make strict progress
-  visit_contacts([&](NodeId c) {
-    if (c == u) return;
-    const Dist dct = c == t ? 0.0 : d.distance(c, t);
-    if (dct < best_d || (dct == best_d && best != kInvalidNode && c < best)) {
-      best = c;
-      best_d = dct;
-    }
-  });
+  std::uint64_t evaluated = 1;
+  visit_contacts(
+      [&](NodeId c) {
+        if (c == u) return;
+        Dist dct = 0.0;
+        if (c != t) {
+          dct = d.distance(c, t);
+          ++evaluated;
+        }
+        if (dct < best_d ||
+            (dct == best_d && best != kInvalidNode && c < best)) {
+          best = c;
+          best_d = dct;
+        }
+      },
+      dut, std::as_const(best_d));
+  if (probes != nullptr) *probes += evaluated;
   return best;
 }
 

@@ -45,7 +45,8 @@ RingsOfNeighbors sample_rings(const ProximityIndex& prox,
       out.push_back(sample_measure_ball_ring(mu, u, radius, y_samples, rng));
     }
   };
-  return RingsOfNeighbors::build(n, sample_node, storage, num_threads);
+  return RingsOfNeighbors::build(n, sample_node, storage, num_threads,
+                                 &prox);
 }
 
 }  // namespace

@@ -37,7 +37,8 @@ class RingsSmallWorld final : public SmallWorldModel {
   /// same for every `num_threads` (RingsOfNeighbors::build: 0 = one
   /// worker per available CPU). `storage` kSealed builds the compact
   /// serving form directly (contacts() is then unavailable, as after
-  /// seal_rings()).
+  /// seal_rings()). Either way the sealed neighbor unions are banded by
+  /// distance over `prox` (core/rings.h), which must outlive the seal.
   RingsSmallWorld(const ProximityIndex& prox, const MeasureView& mu,
                   const RingsModelParams& params, std::uint64_t seed,
                   unsigned num_threads = 0,
@@ -52,7 +53,8 @@ class RingsSmallWorld final : public SmallWorldModel {
 
   const RingsOfNeighbors& rings() const { return rings_; }
 
-  /// Freezes the ring container into compact storage (core/rings.h). The
+  /// Freezes the ring container into banded compact storage
+  /// (core/rings.h), the form LocationService's pruned walk scans. The
   /// walk-facing accessors keep working; contacts() — a span into the
   /// mutable neighbor cache — throws afterwards, so seal only when the
   /// overlay is consumed through LocationService.

@@ -1,6 +1,6 @@
 // Differential and guardrail tests for the sparse proximity backend, the
-// compact (sealed) ring storage, the parallel ring build, and the
-// streaming snapshot path.
+// compact (sealed) ring storage and its banded pruned walk, the parallel
+// ring build, and the streaming snapshot path.
 //
 // The load-bearing contract: SparseProximityIndex answers every portable
 // ProximityIndex query bit-identically to DenseProximityIndex — not
@@ -16,8 +16,10 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -25,10 +27,12 @@
 #include "common/rng.h"
 #include "churn/overlay_mutator.h"
 #include "core/rings.h"
+#include "location/location_service.h"
 #include "metric/dense_metric.h"
 #include "metric/proximity.h"
 #include "metric/sparse_proximity.h"
 #include "oracle/snapshot.h"
+#include "oracle/wire.h"
 #include "scenario/metric_registry.h"
 #include "scenario/scenario_builder.h"
 #include "scenario/scenario_spec.h"
@@ -427,10 +431,45 @@ TEST(StreamingSnapshot, RingsRoundTrip) {
   ASSERT_EQ(loaded.n(), builder.rings().n());
   for (NodeId u = 0; u < loaded.n(); ++u) {
     ASSERT_EQ(loaded.num_rings(u), builder.rings().num_rings(u));
+    for (std::size_t i = 0; i < loaded.num_rings(u); ++i) {
+      ASSERT_EQ(loaded.ring_scale(u, i), builder.rings().ring_scale(u, i));
+      std::vector<NodeId> got, want;
+      loaded.visit_ring(u, i, [&](NodeId v) { got.push_back(v); });
+      builder.rings().visit_ring(u, i, [&](NodeId v) { want.push_back(v); });
+      ASSERT_EQ(got, want) << "u=" << u << " ring=" << i;
+    }
+    // The built rings are banded by distance, the loaded ones list their
+    // union by id (no index on load): the same set in another order.
     std::vector<NodeId> got, want;
     loaded.visit_neighbors(u, [&](NodeId v) { got.push_back(v); });
     builder.rings().visit_neighbors(u, [&](NodeId v) { want.push_back(v); });
+    std::sort(want.begin(), want.end());
     ASSERT_EQ(got, want) << "u=" << u;
+  }
+}
+
+TEST(StreamingSnapshot, UnfinishedSaveKeepsThePreviousSnapshot) {
+  const ScenarioSpec spec = ScenarioSpec::parse("metric=ring,n=64,seed=2");
+  ScenarioBuilder builder(spec, 0, ProxBackend::kSparse);
+  TempFile snap("atomic");
+  save_rings(builder.rings(), snap.path(), spec);
+  const std::vector<char> before = slurp(snap.path());
+  {
+    // A second save to the same path, abandoned before finish() as on an
+    // exception mid-save.
+    WireStreamWriter w(snap.path(), kSnapshotVersion,
+                       static_cast<std::uint32_t>(SnapshotKind::kRings),
+                       kFnv1a64Basis);
+    for (std::uint64_t i = 0; i < 1000; ++i) w.u64(i);
+  }
+  EXPECT_EQ(slurp(snap.path()), before);
+  EXPECT_EQ(load_rings(snap.path()).n(), spec.n);
+  const std::filesystem::path target(snap.path());
+  const std::string temp_prefix = target.filename().string() + ".tmp";
+  for (const auto& entry :
+       std::filesystem::directory_iterator(target.parent_path())) {
+    EXPECT_NE(entry.path().filename().string().rfind(temp_prefix, 0), 0u)
+        << "left behind: " << entry.path();
   }
 }
 
@@ -525,9 +564,13 @@ std::vector<NodeId> neighbor_union(const RingsOfNeighbors& rings, NodeId u) {
 }
 
 /// Every ring's scale and members, every neighbor union and out-degree,
-/// and the degree totals agree (either storage mode on either side).
+/// and the degree totals agree (either storage mode on either side). The
+/// unions are compared as sequences, or as sorted sets when
+/// `union_as_set`: a mutable container lists its union by id, a sealed one
+/// built over an index band by band (core/rings.h).
 void expect_same_rings(const RingsOfNeighbors& got,
-                       const RingsOfNeighbors& want) {
+                       const RingsOfNeighbors& want,
+                       bool union_as_set = false) {
   ASSERT_EQ(got.n(), want.n());
   EXPECT_EQ(got.avg_out_degree(), want.avg_out_degree());
   EXPECT_EQ(got.max_out_degree(), want.max_out_degree());
@@ -540,7 +583,13 @@ void expect_same_rings(const RingsOfNeighbors& got,
       ASSERT_EQ(ring_members(got, u, i), ring_members(want, u, i))
           << "u=" << u << " ring=" << i;
     }
-    ASSERT_EQ(neighbor_union(got, u), neighbor_union(want, u)) << "u=" << u;
+    std::vector<NodeId> a = neighbor_union(got, u);
+    std::vector<NodeId> b = neighbor_union(want, u);
+    if (union_as_set) {
+      std::sort(a.begin(), a.end());
+      std::sort(b.begin(), b.end());
+    }
+    ASSERT_EQ(a, b) << "u=" << u;
   }
 }
 
@@ -619,7 +668,8 @@ TEST(ParallelRings, EveryThreadCountAndStorageMatchesSerialThenSeal) {
                                     spec.overlay_seed, threads, storage);
         const RingsOfNeighbors& got = model.rings();
         ASSERT_EQ(got.sealed(), storage == RingStorage::kSealed);
-        ASSERT_NO_FATAL_FAILURE(expect_same_rings(got, serial_sealed));
+        ASSERT_NO_FATAL_FAILURE(expect_same_rings(
+            got, serial_sealed, storage == RingStorage::kMutable));
         EXPECT_EQ(rings_bytes(got, "par_got"), want_rings);
         if (storage == RingStorage::kMutable) {
           ASSERT_NO_FATAL_FAILURE(
@@ -839,6 +889,142 @@ TEST(MeasureDraw, BatchedPicksMatchSingleDrawRecording) {
     for (NodeId v : mu.sample_in_ball(pin.u, r, 7, split)) picks.push_back(v);
     EXPECT_EQ(picks, pin.picks);
     EXPECT_EQ(split.engine()(), pin.next);
+  }
+}
+
+// --- Banded sealed rings and the pruned walk ---------------------------------
+//
+// A RingsSmallWorld seals each node's neighbor union grouped by distance
+// band (core/rings.h), and LocationService's greedy step scans only the
+// bands that can hold the step's winner. The layout test pins the bands;
+// the walk differential checks that the pruned walk over sealed rings and
+// the full scan over mutable rings of the same overlay agree on every
+// result and trace. The colinear geolines make every triangle inequality
+// tight (base 1.2 spans ~80 bands, more than a directory keeps on the
+// stack); on ring and uniline many contacts tie on d(c,t).
+
+std::vector<std::string> banded_specs() {
+  std::vector<std::string> specs;
+  for (const char* seed : {"1", "2", "3"}) {
+    const std::string s = std::string(",seed=") + seed;
+    specs.push_back("metric=geoline,n=1200,base=1.0000001" + s);
+    specs.push_back("metric=geoline,n=1200,base=1.005" + s);
+    specs.push_back("metric=geoline,n=300,base=1.2" + s);
+    specs.push_back("metric=uniline,n=700" + s);
+    specs.push_back("metric=ring,n=700" + s);
+    specs.push_back("metric=euclid,n=600,dim=2" + s);
+    specs.push_back("metric=clustered,n=600,per_cluster=30" + s);
+  }
+  return specs;
+}
+
+TEST(BandedRings, SealedUnionsFollowTheDistanceLadder) {
+  for (const std::string& text : banded_specs()) {
+    SCOPED_TRACE(text);
+    const ScenarioSpec spec = ScenarioSpec::parse(text);
+    ScenarioBuilder builder(spec, 0, ProxBackend::kSparse);
+    const ProximityIndex& prox = builder.prox();
+    const RingsOfNeighbors& banded = builder.rings();
+    ASSERT_TRUE(banded.sealed());
+    const RingsSmallWorld full(prox, builder.overlay().measure(),
+                               spec.ring_params(), spec.overlay_seed, 0,
+                               RingStorage::kMutable);
+    for (NodeId u = 0; u < prox.n(); ++u) {
+      std::vector<NodeId> listed;
+      int bands = 0;
+      int last_k = -1;
+      banded.visit_bands(u, [&](int k, Dist lo, Dist hi,
+                                std::span<const NodeId> ids) {
+        ++bands;
+        ASSERT_GT(k, last_k) << "bands ascend";
+        last_k = k;
+        ASSERT_EQ(hi, std::ldexp(prox.dmin(), k));
+        ASSERT_EQ(lo, k == 0 ? 0.0 : std::ldexp(prox.dmin(), k - 1));
+        ASSERT_FALSE(ids.empty()) << "only non-empty bands are stored";
+        for (std::size_t i = 0; i < ids.size(); ++i) {
+          if (i > 0) {
+            ASSERT_LT(ids[i - 1], ids[i]) << "ids ascend in a band";
+          }
+          const Dist d = prox.dist(u, ids[i]);
+          ASSERT_LE(d, hi) << "c=" << ids[i];
+          if (k > 0) {
+            ASSERT_GT(d, lo) << "c=" << ids[i];
+          }
+        }
+        listed.insert(listed.end(), ids.begin(), ids.end());
+      });
+      ASSERT_FALSE(HasFailure()) << "u=" << u;
+      ASSERT_LE(bands, prox.num_scales() + 1) << "u=" << u;
+      // visit_neighbors yields the bands in order, each contact once, and
+      // the union is the mutable overlay's.
+      std::vector<NodeId> visited;
+      banded.visit_neighbors(u, [&](NodeId v) { visited.push_back(v); });
+      ASSERT_EQ(visited, listed) << "u=" << u;
+      std::sort(listed.begin(), listed.end());
+      ASSERT_EQ(std::adjacent_find(listed.begin(), listed.end()),
+                listed.end())
+          << "u=" << u;
+      ASSERT_EQ(listed, full.rings().all_neighbors(u)) << "u=" << u;
+    }
+  }
+  // Without an index (hand-built or loaded rings) a node seals as one
+  // unbounded band, in id order.
+  RingsOfNeighbors hand = sample_rings(40);
+  hand.seal();
+  for (NodeId u = 0; u < hand.n(); ++u) {
+    int bands = 0;
+    hand.visit_bands(u, [&](int k, Dist lo, Dist hi,
+                            std::span<const NodeId> ids) {
+      ++bands;
+      EXPECT_EQ(k, 0);
+      EXPECT_EQ(lo, 0.0);
+      EXPECT_EQ(hi, kInfDist);
+      EXPECT_TRUE(std::is_sorted(ids.begin(), ids.end()));
+    });
+    EXPECT_EQ(bands, 1) << "u=" << u;
+  }
+}
+
+TEST(BandedRings, PrunedWalkEqualsFullWalk) {
+  constexpr std::size_t kObjects = 24;
+  constexpr int kQueries = 400;
+  LocateOptions any_holder;
+  any_holder.stop_at_any_holder = true;
+  LocateOptions cut_off;
+  cut_off.max_hops = 1;
+  for (const std::string& text : banded_specs()) {
+    SCOPED_TRACE(text);
+    const ScenarioSpec spec = ScenarioSpec::parse(text);
+    ScenarioBuilder builder(spec, 0, ProxBackend::kSparse);
+    const ProximityIndex& prox = builder.prox();
+    const RingsSmallWorld full(prox, builder.overlay().measure(),
+                               spec.ring_params(), spec.overlay_seed, 0,
+                               RingStorage::kMutable);
+    const ObjectDirectory dir = builder.make_directory(kObjects, 3);
+    const LocationService pruned(prox, builder.rings(), dir);
+    const LocationService scanned(prox, full.rings(), dir);
+    std::uint64_t pruned_probes = 0;
+    std::uint64_t scanned_probes = 0;
+    Rng rng(11);
+    for (int q = 0; q < kQueries; ++q) {
+      const auto querier = static_cast<NodeId>(rng.index(prox.n()));
+      const auto obj = static_cast<ObjectId>(rng.index(kObjects));
+      for (const LocateOptions& opts : {LocateOptions{}, any_holder, cut_off}) {
+        LocateTrace got_trace;
+        LocateTrace want_trace;
+        const LocateResult got =
+            pruned.locate(querier, obj, opts, &got_trace, &pruned_probes);
+        const LocateResult want =
+            scanned.locate(querier, obj, opts, &want_trace, &scanned_probes);
+        ASSERT_EQ(got, want) << "querier=" << querier << " obj=" << obj
+                             << " any=" << opts.stop_at_any_holder
+                             << " max_hops=" << opts.max_hops;
+        ASSERT_EQ(got_trace, want_trace)
+            << "querier=" << querier << " obj=" << obj;
+      }
+    }
+    // The walks agree while the sealed one probes strictly less.
+    EXPECT_LT(pruned_probes, scanned_probes);
   }
 }
 

@@ -43,6 +43,7 @@ run_ok(check_out ${PYTHON_EXE} ${CHECKER} ${WORK_DIR}/telemetry_m.json
   --require ron_engine_locate_cache_misses_total
   --require ron_engine_epoch_mu_hold_seconds
   --require ron_engine_locate_hops
+  --require ron_engine_locate_probes
   --require ron_engine_locate_hop_bound
   --require ron_build_prox_seconds
   --require ron_build_labeling_seconds
