@@ -8,23 +8,25 @@
 //   [magic "RONSNAP\n"] [u32 format version] [u32 section kind]
 //   [u64 payload size] [u64 FNV-1a checksum] [payload]
 //
-// The checksum covers the payload; in version 2 it additionally covers the
-// version and kind header fields, so flipping a v2 file's version or kind
-// label fails the checksum instead of reaching the wrong parser.
+// The container (header layout, known versions, each version's checksum
+// domain) belongs to oracle/wire.h: every section is written through
+// WireStreamWriter and read through WireStreamReader, a chunk at a time.
 //
-// Format version 2 (current): every section kind embeds the ScenarioSpec
-// the artifact was built from as a payload prefix, so any snapshot is a
-// self-describing recipe — `ron_oracle info` prints the spec back and
-// `locate` rebuilds the exact metric and overlay from it. Version 1 files
-// (which carried either no recipe or the old OracleMeta/LocationMeta
-// structs) still load: the loaders synthesize an equivalent spec, and every
-// save function takes a version gate so v1 bytes can be reproduced
-// bit-identically (the committed golden fixtures pin both formats).
+// Format version 2 (the only one saves write): every section kind embeds
+// the ScenarioSpec the artifact was built from as a payload prefix, so any
+// snapshot is a self-describing recipe — `ron_oracle info` prints the spec
+// back and `locate` rebuilds the exact metric and overlay from it. Version
+// 1 files (which carried either no recipe or the old OracleMeta/LocationMeta
+// structs) still load: the loaders synthesize an equivalent spec, and the
+// committed v1 golden fixtures pin that path.
 //
-// Loads validate magic, version, kind, exact length and checksum before
-// parsing, and the parse itself bounds-checks every count and index, so a
-// truncated, bit-flipped or mislabeled file throws ron::Error instead of
-// corrupting the serving process.
+// A load validates magic, version, kind and exact length before parsing.
+// The payload is parsed as it streams in, so the parser sees bytes before
+// the checksum has checked them: it bounds-checks every count and index and
+// sizes no allocation beyond what the unread payload could back, and the
+// checksum is verified after the last byte, before the loaded object is
+// returned. A truncated, bit-flipped or mislabeled file therefore throws
+// ron::Error instead of corrupting the serving process.
 //
 // RingsOfNeighbors and DistanceLabeling load back as the live classes
 // (queries on the loaded object are bit-identical to the builder's).
@@ -45,14 +47,10 @@
 #include "labeling/distance_labels.h"
 #include "labeling/neighbor_system.h"
 #include "location/object_directory.h"
+#include "oracle/wire.h"
 #include "scenario/scenario_spec.h"
 
 namespace ron {
-
-/// Current write format (spec-carrying) and the legacy format the loaders
-/// still accept and the writers can still emit through their version gate.
-inline constexpr std::uint32_t kSnapshotVersion = 2;
-inline constexpr std::uint32_t kSnapshotVersionV1 = 1;
 
 enum class SnapshotKind : std::uint32_t {
   kRings = 1,
@@ -82,24 +80,20 @@ SnapshotInfo inspect_snapshot(const std::string& path);
 /// it cannot drift from the header layout the save path writes.
 std::uint32_t peek_snapshot_kind(const std::string& path);
 
-// Save functions: `spec` is the scenario the artifact was built from and is
-// embedded in v2 payloads. Writing with version = kSnapshotVersionV1
-// reproduces the legacy bytes (the spec is reduced to the old meta fields
-// for the oracle/directory kinds and dropped for the rest); the gate throws
-// if the spec holds information the v1 format cannot carry — a downgrade
-// never silently loses recipe fields. When the spec names a family, spec.n
-// must match the artifact's node count.
+// Save functions write format version 2: `spec` is the scenario the
+// artifact was built from and is embedded in the payload. When the spec
+// names a family, spec.n must match the artifact's node count.
 //
 // Load functions: `spec`/`info` out-parameters (when non-null) receive the
-// embedded or synthesized scenario and the validated header fields. A v1
+// embedded or synthesized scenario and the validated header fields, once
+// the checksum has been verified (a failed load leaves them untouched). A v1
 // file yields a spec with an empty family (unknown provenance) except for
 // directories, whose v1 meta carried the full recipe.
 
 // --- RingsOfNeighbors ------------------------------------------------------
 
 void save_rings(const RingsOfNeighbors& rings, const std::string& path,
-                const ScenarioSpec& spec = {},
-                std::uint32_t version = kSnapshotVersion);
+                const ScenarioSpec& spec = {});
 RingsOfNeighbors load_rings(const std::string& path,
                             ScenarioSpec* spec = nullptr,
                             SnapshotInfo* info = nullptr);
@@ -175,8 +169,7 @@ class NeighborSystemSnapshot {
 };
 
 void save_neighbor_system(const NeighborSystem& sys, const std::string& path,
-                          const ScenarioSpec& spec = {},
-                          std::uint32_t version = kSnapshotVersion);
+                          const ScenarioSpec& spec = {});
 NeighborSystemSnapshot load_neighbor_system(const std::string& path,
                                             ScenarioSpec* spec = nullptr,
                                             SnapshotInfo* info = nullptr);
@@ -184,8 +177,7 @@ NeighborSystemSnapshot load_neighbor_system(const std::string& path,
 // --- DistanceLabeling ------------------------------------------------------
 
 void save_labeling(const DistanceLabeling& dls, const std::string& path,
-                   const ScenarioSpec& spec = {},
-                   std::uint32_t version = kSnapshotVersion);
+                   const ScenarioSpec& spec = {});
 DistanceLabeling load_labeling(const std::string& path,
                                ScenarioSpec* spec = nullptr,
                                SnapshotInfo* info = nullptr);
@@ -204,8 +196,7 @@ struct LoadedOracle {
 
 /// spec.n must equal dls.n().
 void save_oracle(const ScenarioSpec& spec, const std::string& metric_name,
-                 const DistanceLabeling& dls, const std::string& path,
-                 std::uint32_t version = kSnapshotVersion);
+                 const DistanceLabeling& dls, const std::string& path);
 /// `info`, when non-null, receives the validated header fields — a combined
 /// inspect+load in one read of the file.
 LoadedOracle load_oracle(const std::string& path,
@@ -224,8 +215,7 @@ struct LoadedDirectory {
 /// spec.n must equal directory.n() and spec.family must be non-empty (a
 /// directory without a rebuildable recipe cannot serve locates).
 void save_directory(const ScenarioSpec& spec, const ObjectDirectory& dir,
-                    const std::string& path,
-                    std::uint32_t version = kSnapshotVersion);
+                    const std::string& path);
 LoadedDirectory load_directory(const std::string& path,
                                SnapshotInfo* info = nullptr);
 
@@ -245,12 +235,11 @@ struct LoadedChurnBundle {
 };
 
 /// spec.family must be non-empty and spec.n must equal initial.n(). Churn
-/// bundles are v2-only: the legacy format has no spec and therefore no
-/// replayable recipe.
+/// bundles exist only in v2: the legacy format has no spec and therefore
+/// no replayable recipe, so the loader refuses a bundle labeled v1.
 void save_churn_bundle(const ScenarioSpec& spec,
                        const ObjectDirectory& initial,
-                       const ChurnTrace& trace, const std::string& path,
-                       std::uint32_t version = kSnapshotVersion);
+                       const ChurnTrace& trace, const std::string& path);
 LoadedChurnBundle load_churn_bundle(const std::string& path,
                                     SnapshotInfo* info = nullptr);
 

@@ -58,6 +58,21 @@ std::uint64_t fnv1a64(std::span<const std::uint8_t> bytes) {
   return fnv1a64_continue(kFnv1a64Basis, bytes);
 }
 
+namespace {
+
+/// The initial FNV state of a version's checksum domain (see
+/// kSnapshotVersion): v1 starts at the basis, v2 folds the header's
+/// version and kind fields in front of the payload.
+std::uint64_t checksum_seed(std::uint32_t version, std::uint32_t kind) {
+  if (version == kSnapshotVersionV1) return kFnv1a64Basis;
+  WireWriter prefix;
+  prefix.u32(version);
+  prefix.u32(kind);
+  return fnv1a64(prefix.bytes());
+}
+
+}  // namespace
+
 // --- atomic replacement ---------------------------------------------------
 
 namespace {
@@ -114,13 +129,13 @@ void AtomicFile::commit() {
 
 // --- streaming writer -----------------------------------------------------
 
-WireStreamWriter::WireStreamWriter(const std::string& path,
-                                   std::uint32_t version, std::uint32_t kind,
-                                   std::uint64_t checksum_seed)
-    : file_(path), out_(file_.stream()), sum_(checksum_seed) {
+WireStreamWriter::WireStreamWriter(const std::string& path, std::uint32_t kind)
+    : file_(path),
+      out_(file_.stream()),
+      sum_(checksum_seed(kSnapshotVersion, kind)) {
   WireWriter header;
   for (std::uint8_t b : kSnapshotMagic) header.u8(b);
-  header.u32(version);
+  header.u32(kSnapshotVersion);
   header.u32(kind);
   header.u64(0);  // payload length — patched by finish()
   header.u64(0);  // checksum — patched by finish()
@@ -158,7 +173,7 @@ void WireStreamWriter::finish() {
 // --- streaming reader -----------------------------------------------------
 
 WireStreamReader::WireStreamReader(const std::string& path)
-    : path_(path), in_(path, std::ios::binary), sum_(kFnv1a64Basis) {
+    : path_(path), in_(path, std::ios::binary) {
   RON_CHECK(in_.good(), "snapshot: cannot open " << path_);
   in_.seekg(0, std::ios::end);
   const std::streamoff size = in_.tellg();
@@ -175,6 +190,11 @@ WireStreamReader::WireStreamReader(const std::string& path)
   WireReader rd(std::span(hdr + sizeof(kSnapshotMagic),
                           kSnapshotHeaderBytes - sizeof(kSnapshotMagic)));
   header_.version = rd.u32();
+  RON_CHECK(header_.version == kSnapshotVersion ||
+                header_.version == kSnapshotVersionV1,
+            "snapshot: " << path_ << " has format version "
+                         << header_.version << ", this build reads "
+                         << kSnapshotVersionV1 << " and " << kSnapshotVersion);
   header_.kind = rd.u32();
   header_.payload_bytes = rd.u64();
   header_.checksum = rd.u64();
@@ -186,12 +206,7 @@ WireStreamReader::WireStreamReader(const std::string& path)
                          << " bytes, header promises "
                          << header_.payload_bytes
                          << " (truncated or trailing garbage)");
-}
-
-void WireStreamReader::seed_checksum(std::uint64_t seed) {
-  RON_CHECK(fetched_ == 0,
-            "snapshot: checksum seeded after payload reads began");
-  sum_ = seed;
+  sum_ = checksum_seed(header_.version, header_.kind);
 }
 
 void WireStreamReader::need(std::size_t n, const char* what) {

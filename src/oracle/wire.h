@@ -1,12 +1,14 @@
-// Little-endian wire primitives for the snapshot format.
+// Little-endian wire primitives for snapshots and served frames.
 //
 // Snapshots must load safely from untrusted bytes: a truncated download, a
 // bit-flipped disk block or a file of the wrong kind has to surface as
 // ron::Error, never as UB or an unbounded allocation. WireWriter builds a
-// payload in memory; WireReader is a bounds-checked cursor over loaded bytes
-// — every read validates the remaining length first, and every count that
-// sizes an allocation is validated against the bytes that could possibly
-// back it (see read_count).
+// buffer in memory (served frames); WireReader is a bounds-checked cursor
+// over loaded bytes — every read validates the remaining length first, and
+// every count that sizes an allocation is validated against the bytes that
+// could possibly back it (see read_count). WireStreamWriter and
+// WireStreamReader offer the same primitives over a file and own the
+// snapshot container: every snapshot is written and read through them.
 //
 // All integers are fixed-width little-endian; doubles travel as their IEEE
 // bit pattern (round trips are bit-identical, which the serving layer's
@@ -47,12 +49,6 @@ void read_stream_bytes(std::istream& in, std::span<std::uint8_t> bytes,
 /// short foreign file.
 std::size_t read_stream_prefix(std::istream& in, std::span<std::uint8_t> bytes);
 
-/// FNV-1a 64-bit checksum (the snapshot header's corruption detector; this
-/// guards against accidental damage, not adversaries). The _continue form
-/// chains over multiple spans: fnv1a64(a+b) ==
-/// fnv1a64_continue(fnv1a64(a), b) — the snapshot layer uses it to fold the
-/// header's version/kind fields into the v2 checksum domain without
-/// materializing a concatenated buffer.
 /// A file written beside `path` (same directory, unique temporary name)
 /// and renamed over it by commit() after an fsync, so a kill, crash or
 /// throw mid-save never damages the snapshot already at `path`: readers
@@ -79,13 +75,26 @@ class AtomicFile {
   bool committed_ = false;
 };
 
-/// Snapshot container framing, shared by the in-memory path (snapshot.cpp)
-/// and the streaming classes below: magic[8] + u32 version + u32 kind +
-/// u64 payload length + u64 checksum, then the payload.
+/// Snapshot container framing, owned by the streaming classes below:
+/// magic[8] + u32 version + u32 kind + u64 payload length + u64 checksum,
+/// then the payload. Saves write kSnapshotVersion; loads also accept
+/// kSnapshotVersionV1. The checksum domain depends on the version: v1
+/// covers the payload alone, v2 folds the header's version and kind fields
+/// in front of it, so a flip that relabels a v2 file (downgrades its
+/// version or swaps its kind) fails the checksum instead of reaching the
+/// wrong parser.
 inline constexpr std::uint8_t kSnapshotMagic[8] = {'R', 'O', 'N', 'S',
                                                    'N', 'A', 'P', '\n'};
 inline constexpr std::size_t kSnapshotHeaderBytes = 8 + 4 + 4 + 8 + 8;
+inline constexpr std::uint32_t kSnapshotVersion = 2;
+inline constexpr std::uint32_t kSnapshotVersionV1 = 1;
 
+/// FNV-1a 64-bit checksum (the snapshot header's corruption detector; this
+/// guards against accidental damage, not adversaries). The _continue form
+/// chains over multiple spans: fnv1a64(a+b) ==
+/// fnv1a64_continue(fnv1a64(a), b) — the container uses it to fold the
+/// header's version/kind fields into the v2 checksum domain without
+/// materializing a concatenated buffer.
 inline constexpr std::uint64_t kFnv1a64Basis = 0xcbf29ce484222325ULL;
 std::uint64_t fnv1a64(std::span<const std::uint8_t> bytes);
 std::uint64_t fnv1a64_continue(std::uint64_t state,
@@ -118,24 +127,21 @@ class WireWriter {
   std::vector<std::uint8_t> buf_;
 };
 
-/// Chunked streaming counterpart of WireWriter for large sections (the
-/// million-node rings/directory snapshots): payload bytes are folded into a
-/// running FNV-1a state and flushed to disk kStreamChunkBytes at a time, so
-/// peak memory is one chunk instead of the whole payload. The snapshot
-/// header is written up front with placeholder length/checksum fields;
-/// finish() seeks back and patches them. The bytes go to an AtomicFile,
-/// so the target only changes when finish() succeeds. The primitive API
-/// mirrors WireWriter, so payload helpers can be written once as
-/// templates.
+/// Writes one snapshot file, the only way a snapshot is saved: payload
+/// bytes are folded into a running FNV-1a state and flushed to disk
+/// kStreamChunkBytes at a time, so peak memory is one chunk instead of the
+/// whole payload. The header is written up front with placeholder
+/// length/checksum fields; finish() seeks back and patches them. The bytes
+/// go to an AtomicFile, so the target only changes when finish()
+/// succeeds. The primitive API mirrors WireWriter, so payload helpers can
+/// be written once as templates.
 inline constexpr std::size_t kStreamChunkBytes = 1 << 20;
 
 class WireStreamWriter {
  public:
-  /// Opens `path`, writes the magic/version/kind header with placeholder
-  /// length and checksum. `checksum_seed` is the initial FNV state (the
-  /// v2 domain folds the version/kind prefix in; v1 starts at the basis).
-  WireStreamWriter(const std::string& path, std::uint32_t version,
-                   std::uint32_t kind, std::uint64_t checksum_seed);
+  /// Opens `path` and writes a kSnapshotVersion header for section `kind`
+  /// with placeholder length and checksum.
+  WireStreamWriter(const std::string& path, std::uint32_t kind);
   ~WireStreamWriter();
   WireStreamWriter(const WireStreamWriter&) = delete;
   WireStreamWriter& operator=(const WireStreamWriter&) = delete;
@@ -247,16 +253,19 @@ class WireReader {
   std::size_t pos_ = 0;
 };
 
-/// Bounded-memory streaming counterpart of WireReader: serves the same
-/// primitive API from a sliding window over the file, so loading a
-/// million-node section holds one chunk plus the data structure being
-/// built, never the whole payload. The running checksum is folded over
-/// bytes as they are buffered; expect_done() — which every loader must
-/// reach — verifies full consumption AND the checksum, so a corrupt tail
-/// still surfaces as ron::Error before the loaded object is returned.
-/// The construction-time validation mirrors read_snapshot: magic, known
-/// version, plausible kind, and exact file length against the header's
-/// payload promise.
+/// Reads one snapshot file, the only way a snapshot is loaded: serves
+/// WireReader's primitive API from a sliding window over the file, so
+/// loading a section holds one chunk plus the data structure being built,
+/// never the whole payload. The constructor validates the magic, a known
+/// version and the exact file length against the header's payload
+/// promise, and seeds the running checksum from that version's domain
+/// (the section kind is the caller's to check). The checksum is folded
+/// over bytes as they are buffered, so the parser sees each byte BEFORE
+/// the checksum has checked it: every allocation sized from a stored count
+/// must be bounded by the unread payload (read_count), and expect_done() —
+/// which every loader must reach — verifies full consumption AND the
+/// checksum, so corruption still surfaces as ron::Error before the loaded
+/// object is returned.
 class WireStreamReader {
  public:
   struct Header {
@@ -271,11 +280,6 @@ class WireStreamReader {
   WireStreamReader& operator=(const WireStreamReader&) = delete;
 
   const Header& header() const { return header_; }
-
-  /// Re-seeds the running checksum (must be called before any payload read).
-  /// The construction default is the FNV basis (the v1 domain); v2 loaders
-  /// seed with the version/kind prefix hash after inspecting header().
-  void seed_checksum(std::uint64_t seed);
 
   /// Consumes the rest of the payload unparsed (the inspect path: verifies
   /// length and checksum without building anything).
@@ -331,7 +335,7 @@ class WireStreamReader {
   std::size_t avail_ = 0;      // valid bytes in buf_
   std::uint64_t fetched_ = 0;  // payload bytes pulled off the stream
   std::uint64_t consumed_ = 0; // payload bytes handed to the parser
-  std::uint64_t sum_;          // running checksum over fetched bytes
+  std::uint64_t sum_ = 0;      // running checksum over fetched bytes
 };
 
 }  // namespace ron

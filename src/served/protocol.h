@@ -1,5 +1,5 @@
 // The ron_served wire protocol: length-prefixed frames over TCP, payloads
-// parsed through the snapshot layer's bounds-checked WireReader/WireWriter.
+// parsed through oracle/wire.h's bounds-checked WireReader/WireWriter.
 //
 // One framing layer, not two. A frame is
 //
@@ -9,11 +9,11 @@
 //
 //   [u8 protocol version] [u8 message type] [u64 request id] [body ...]
 //
-// The body of every message kind is encoded with the same WireWriter and
-// decoded with the same WireReader the snapshot format uses — the cursor
-// the snapshot fuzzer already hammers — so a truncated, garbled or
-// malicious frame surfaces as ron::Error at a validated boundary, never as
-// UB or an unbounded allocation. Clients are untrusted peers: the server
+// The body of every message kind is encoded with WireWriter and decoded
+// with WireReader — the in-memory twins of the snapshot stream classes,
+// with the same bounds checks and count validation — so a truncated,
+// garbled or malicious frame surfaces as ron::Error at a validated
+// boundary, never as UB or an unbounded allocation. Clients are untrusted peers: the server
 // answers a malformed-but-framed payload with an error frame and keeps the
 // connection, and drops the connection only when framing itself is broken
 // (an oversized length prefix — there is no way to find the next frame

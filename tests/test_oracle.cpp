@@ -156,8 +156,8 @@ RingsOfNeighbors make_rings(std::size_t n) {
 }
 
 struct LabelingFixture {
-  LabelingFixture()
-      : metric(random_cube_metric(48, 2, 23)),
+  explicit LabelingFixture(std::size_t n = 48)
+      : metric(random_cube_metric(n, 2, 23)),
         prox(metric),
         sys(prox, 0.25),
         dls(sys) {}
@@ -280,37 +280,45 @@ TEST(SnapshotRings, RoundTripIsLossless) {
   }
 }
 
-TEST(SnapshotNeighborSystem, RoundTripIsLossless) {
-  LabelingFixture fx;
-  TempFile file("nsys");
-  save_neighbor_system(fx.sys, file.path());
-  const NeighborSystemSnapshot s = load_neighbor_system(file.path());
-  ASSERT_EQ(s.n(), fx.prox.n());
-  EXPECT_EQ(s.delta(), fx.sys.delta());
-  EXPECT_EQ(s.profile().y_ball_factor, fx.sys.profile().y_ball_factor);
-  ASSERT_EQ(s.num_levels(), fx.sys.num_levels());
-  ASSERT_EQ(s.num_z_scales(), fx.sys.num_z_scales());
+/// Every accessor of a loaded NeighborSystemSnapshot against the live
+/// system it was saved from.
+void expect_same_neighbor_system(const NeighborSystemSnapshot& s,
+                                 const NeighborSystem& sys) {
+  ASSERT_EQ(s.n(), sys.prox().n());
+  EXPECT_EQ(s.delta(), sys.delta());
+  EXPECT_EQ(s.profile().y_ball_factor, sys.profile().y_ball_factor);
+  EXPECT_EQ(s.profile().y_net_divisor, sys.profile().y_net_divisor);
+  EXPECT_EQ(s.profile().z_net_divisor, sys.profile().z_net_divisor);
+  ASSERT_EQ(s.num_levels(), sys.num_levels());
+  ASSERT_EQ(s.num_z_scales(), sys.num_z_scales());
   auto eq_span = [](std::span<const NodeId> a, std::span<const NodeId> b) {
     return std::vector<NodeId>(a.begin(), a.end()) ==
            std::vector<NodeId>(b.begin(), b.end());
   };
   for (NodeId u = 0; u < s.n(); ++u) {
     for (int i = 0; i < s.num_levels(); ++i) {
-      EXPECT_EQ(s.r(u, i), fx.sys.r(u, i));
-      EXPECT_EQ(s.nearest_x(u, i), fx.sys.nearest_x(u, i));
-      EXPECT_EQ(s.f(u, i), fx.sys.f(u, i));
-      EXPECT_EQ(s.y_level(u, i), fx.sys.y_level(u, i));
-      EXPECT_TRUE(eq_span(s.X(u, i), fx.sys.X(u, i)));
-      EXPECT_TRUE(eq_span(s.Y(u, i), fx.sys.Y(u, i)));
+      EXPECT_EQ(s.r(u, i), sys.r(u, i));
+      EXPECT_EQ(s.nearest_x(u, i), sys.nearest_x(u, i));
+      EXPECT_EQ(s.f(u, i), sys.f(u, i));
+      EXPECT_EQ(s.y_level(u, i), sys.y_level(u, i));
+      EXPECT_TRUE(eq_span(s.X(u, i), sys.X(u, i)));
+      EXPECT_TRUE(eq_span(s.Y(u, i), sys.Y(u, i)));
     }
     for (int j = 1; j <= s.num_z_scales(); ++j) {
-      EXPECT_TRUE(eq_span(s.Z(u, j), fx.sys.Z(u, j)));
+      EXPECT_TRUE(eq_span(s.Z(u, j), sys.Z(u, j)));
     }
-    EXPECT_TRUE(eq_span(s.Z_all(u), fx.sys.Z_all(u)));
-    EXPECT_TRUE(eq_span(s.X_all(u), fx.sys.X_all(u)));
-    EXPECT_TRUE(eq_span(s.host_set(u), fx.sys.host_set(u)));
-    EXPECT_TRUE(eq_span(s.virtual_set(u), fx.sys.virtual_set(u)));
+    EXPECT_TRUE(eq_span(s.Z_all(u), sys.Z_all(u)));
+    EXPECT_TRUE(eq_span(s.X_all(u), sys.X_all(u)));
+    EXPECT_TRUE(eq_span(s.host_set(u), sys.host_set(u)));
+    EXPECT_TRUE(eq_span(s.virtual_set(u), sys.virtual_set(u)));
   }
+}
+
+TEST(SnapshotNeighborSystem, RoundTripIsLossless) {
+  LabelingFixture fx;
+  TempFile file("nsys");
+  save_neighbor_system(fx.sys, file.path());
+  expect_same_neighbor_system(load_neighbor_system(file.path()), fx.sys);
 }
 
 TEST(SnapshotLabeling, RoundTripEstimatesAreBitIdentical) {
@@ -358,27 +366,6 @@ TEST(SnapshotOracle, BundleRoundTripsSpecAndLabels) {
   }
 }
 
-TEST(SnapshotOracle, V1WriterGateRoundTripsWithoutFamily) {
-  // The v1 format cannot carry a family; the gate accepts only a
-  // family-less spec (see RefusesLossyV1Saves), and writing through it
-  // preserves n/seed/delta and the display name, with the file actually
-  // version 1 on disk.
-  LabelingFixture fx;
-  TempFile file("oracle_v1");
-  ScenarioSpec spec;  // no family: exactly what a v1 oracle can express
-  spec.n = fx.dls.n();
-  spec.seed = 23;
-  save_oracle(spec, "euclid-48", fx.dls, file.path(), kSnapshotVersionV1);
-  SnapshotInfo info;
-  const LoadedOracle loaded = load_oracle(file.path(), &info);
-  EXPECT_EQ(info.version, kSnapshotVersionV1);
-  EXPECT_TRUE(loaded.spec.family.empty());
-  EXPECT_EQ(loaded.spec.n, fx.dls.n());
-  EXPECT_EQ(loaded.spec.seed, 23u);
-  EXPECT_EQ(loaded.spec.delta, 0.25);
-  EXPECT_EQ(loaded.metric_name, "euclid-48");
-}
-
 TEST(SnapshotChurnBundle, RoundTripsSpecDirectoryAndTrace) {
   TempFile file("churn_bundle");
   ScenarioSpec spec =
@@ -408,14 +395,41 @@ TEST(SnapshotChurnBundle, RoundTripsSpecDirectoryAndTrace) {
   EXPECT_EQ(slurp(file.path()), slurp(resaved.path()));
 }
 
+/// Recomputes a snapshot file's header checksum in the domain of the
+/// version its header names, so a test can hand the parser a crafted
+/// header or payload that the checksum does not catch.
+void restamp_checksum(std::vector<char>& bytes) {
+  const std::span<const std::uint8_t> file(
+      reinterpret_cast<const std::uint8_t*>(bytes.data()), bytes.size());
+  const std::span<const std::uint8_t> payload =
+      file.subspan(kSnapshotHeaderBytes);
+  WireReader header(file.subspan(sizeof(kSnapshotMagic), 8));
+  const std::uint32_t version = header.u32();
+  std::uint64_t sum = fnv1a64(payload);  // the v1 domain
+  if (version != kSnapshotVersionV1) {
+    WireWriter prefix;
+    prefix.u32(version);
+    prefix.u32(header.u32());  // kind
+    sum = fnv1a64_continue(fnv1a64(prefix.bytes()), payload);
+  }
+  for (std::size_t i = 0; i < 8; ++i) {  // the header's last field
+    bytes[kSnapshotHeaderBytes - 8 + i] = static_cast<char>(sum >> (8 * i));
+  }
+}
+
 TEST(SnapshotChurnBundle, RefusesV1AndRecipeFreeSaves) {
   TempFile file("churn_bundle_bad");
   const ScenarioSpec spec =
       ScenarioSpec::parse("metric=geoline,n=32,seed=3");
-  // v1 has no spec, hence no replayable recipe: the gate must refuse.
-  EXPECT_THROW(save_churn_bundle(spec, make_directory(32), make_trace(),
-                                 file.path(), kSnapshotVersionV1),
-               Error);
+  // v1 has no spec, hence no replayable recipe: a bundle labeled v1 is
+  // refused even when its header is otherwise valid (v1 checksum domain).
+  save_churn_bundle(spec, make_directory(32), make_trace(), file.path());
+  std::vector<char> bytes = slurp(file.path());
+  bytes[8] = static_cast<char>(kSnapshotVersionV1);
+  restamp_checksum(bytes);
+  dump(file.path(), bytes);
+  EXPECT_EQ(inspect_snapshot(file.path()).version, kSnapshotVersionV1);
+  EXPECT_THROW(load_churn_bundle(file.path()), Error);
   // And a family-less spec cannot rebuild anything either.
   EXPECT_THROW(save_churn_bundle(ScenarioSpec{}, make_directory(32),
                                  make_trace(), file.path()),
@@ -462,51 +476,6 @@ TEST(SnapshotDirectory, ZeroHolderObjectsRoundTripBitIdentically) {
   TempFile resaved("zero_holder_resave");
   save_directory(loaded.spec, loaded.directory, resaved.path());
   EXPECT_EQ(slurp(file.path()), slurp(resaved.path()));
-}
-
-TEST(SnapshotSpec, RefusesLossyV1Saves) {
-  // The v1 writer gate must throw — not silently drop — when the spec
-  // carries fields the legacy format cannot represent. A dropped ring
-  // profile would make a downgraded directory's locate rebuild the wrong
-  // overlay with no error anywhere.
-  LabelingFixture fx;
-  TempFile file("v1_lossy");
-  // rings/labeling v1 carry no recipe at all: any named family is loss.
-  EXPECT_THROW(save_rings(make_rings(48), file.path(), fixture_spec(),
-                          kSnapshotVersionV1),
-               Error);
-  EXPECT_THROW(save_labeling(fx.dls, file.path(), fixture_spec(),
-                             kSnapshotVersionV1),
-               Error);
-  // oracle v1 keeps n/seed/delta but not the family.
-  EXPECT_THROW(save_oracle(fixture_spec(), "euclid-48", fx.dls, file.path(),
-                           kSnapshotVersionV1),
-               Error);
-  // directory v1 keeps family/n/seed/overlay_seed but not the ring profile
-  // or family params.
-  ScenarioSpec foil =
-      ScenarioSpec::parse("metric=geoline,n=32,seed=3,with_x=0");
-  EXPECT_THROW(
-      save_directory(foil, make_directory(32), file.path(),
-                     kSnapshotVersionV1),
-      Error);
-  ScenarioSpec with_param =
-      ScenarioSpec::parse("metric=geoline,n=32,seed=3,base=1.25");
-  EXPECT_THROW(
-      save_directory(with_param, make_directory(32), file.path(),
-                     kSnapshotVersionV1),
-      Error);
-  // ...and not the churn clause either.
-  ScenarioSpec with_churn =
-      ScenarioSpec::parse("metric=geoline,n=32,seed=3,churn=10");
-  EXPECT_THROW(
-      save_directory(with_churn, make_directory(32), file.path(),
-                     kSnapshotVersionV1),
-      Error);
-  // ...while the representable subset still writes v1 bytes fine.
-  save_directory(ScenarioSpec::parse("metric=geoline,n=32,seed=3"),
-                 make_directory(32), file.path(), kSnapshotVersionV1);
-  EXPECT_EQ(inspect_snapshot(file.path()).version, kSnapshotVersionV1);
 }
 
 TEST(SnapshotSpec, EmbeddedSpecComesBackFromEveryKind) {
@@ -648,35 +617,41 @@ std::vector<char> mutate(const std::vector<char>& original, Rng& rng) {
   return bytes;
 }
 
-TEST(SnapshotFuzz, RandomMutationsAlwaysThrowRonError) {
+/// Saves the target, checks it loads, then loads 1000 mutations of it:
+/// each must throw ron::Error.
+void expect_mutations_throw_ron_error(const FuzzTarget& target) {
   constexpr std::size_t kMutationsPerKind = 1000;
+  TempFile file(std::string("fuzz_") + target.name);
+  target.save(file.path());
+  const std::vector<char> original = slurp(file.path());
+  ASSERT_GT(original.size(), 32u) << target.name;
+  // Sanity: the unmutated snapshot loads.
+  ASSERT_NO_THROW(target.load(file.path())) << target.name;
+
+  Rng rng(20260726);
+  std::size_t failures = 0;
+  for (std::size_t i = 0; i < kMutationsPerKind; ++i) {
+    dump(file.path(), mutate(original, rng));
+    try {
+      target.load(file.path());
+      ++failures;
+      ADD_FAILURE() << target.name << " mutation " << i
+                    << " loaded successfully";
+    } catch (const Error&) {
+      // expected: every mutation must surface as ron::Error
+    } catch (const std::exception& e) {
+      ++failures;
+      ADD_FAILURE() << target.name << " mutation " << i
+                    << " threw non-ron::Error: " << e.what();
+    }
+    if (failures > 5) break;  // corrupt format: stop the flood
+  }
+}
+
+TEST(SnapshotFuzz, RandomMutationsAlwaysThrowRonError) {
   LabelingFixture fx;
   for (const FuzzTarget& target : fuzz_targets(fx)) {
-    TempFile file(std::string("fuzz_") + target.name);
-    target.save(file.path());
-    const std::vector<char> original = slurp(file.path());
-    ASSERT_GT(original.size(), 32u) << target.name;
-    // Sanity: the unmutated snapshot loads.
-    ASSERT_NO_THROW(target.load(file.path())) << target.name;
-
-    Rng rng(20260726);
-    std::size_t failures = 0;
-    for (std::size_t i = 0; i < kMutationsPerKind; ++i) {
-      dump(file.path(), mutate(original, rng));
-      try {
-        target.load(file.path());
-        ++failures;
-        ADD_FAILURE() << target.name << " mutation " << i
-                      << " loaded successfully";
-      } catch (const Error&) {
-        // expected: every mutation must surface as ron::Error
-      } catch (const std::exception& e) {
-        ++failures;
-        ADD_FAILURE() << target.name << " mutation " << i
-                      << " threw non-ron::Error: " << e.what();
-      }
-      if (failures > 5) break;  // corrupt format: stop the flood
-    }
+    expect_mutations_throw_ron_error(target);
   }
 }
 
@@ -705,9 +680,11 @@ TEST(SnapshotCorruption, UnsupportedVersionRejected) {
 }
 
 TEST(SnapshotCorruption, VersionDowngradeFlipRejected) {
-  // A v2 file whose version field is flipped to 1 must NOT be parsed as a
-  // v1 payload: the v2 checksum domain includes the version field, so the
-  // flip is caught before any payload parsing. One target per kind.
+  // A v2 file whose version field is flipped to 1 must NOT load as a v1
+  // payload. The v1 parser may run over the v2 bytes, but the stored
+  // checksum was computed in the v2 domain, which includes the version
+  // field, so the load fails at the latest when the checksum is verified
+  // after the last byte. One target per kind.
   LabelingFixture fx;
   const auto flip_version_to_v1 = [](const std::string& path) {
     std::vector<char> bytes = slurp(path);
@@ -754,6 +731,39 @@ TEST(SnapshotCorruption, WrongKindRejected) {
   EXPECT_EQ(inspect_snapshot(rings_file.path()).kind, SnapshotKind::kRings);
 }
 
+TEST(SnapshotCorruption, RaisedNeighborSystemCountsRejectedBeforeReserve) {
+  // The neighbor-system parser reserves n x levels entries before reading
+  // them, and the checksum is only verified after the last byte. A header
+  // whose node and level counts were raised (checksum recomputed, so only
+  // the parser stands in the way) must fail naming the count, not reserve
+  // hundreds of times the payload.
+  LabelingFixture fx;
+  TempFile file("nsys_counts");
+  save_neighbor_system(fx.sys, file.path());
+  std::vector<char> bytes = slurp(file.path());
+  WireWriter spec_prefix;
+  write_spec(spec_prefix, ScenarioSpec{});
+  const std::size_t n_at = kSnapshotHeaderBytes + spec_prefix.size();
+  const std::size_t levels_at = n_at + 8 + 8 + 3 * 8;  // n, delta, profile
+  // The largest n the plain node-count check still accepts.
+  const std::uint64_t n = (bytes.size() - n_at - 8) / 8;
+  ASSERT_GT(n, fx.sys.prox().n());
+  for (std::size_t i = 0; i < 8; ++i) {
+    bytes[n_at + i] = static_cast<char>(n >> (8 * i));
+  }
+  bytes[levels_at] = 64;
+  restamp_checksum(bytes);
+  dump(file.path(), bytes);
+  try {
+    load_neighbor_system(file.path());
+    ADD_FAILURE() << "raised counts loaded";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("node count " + std::to_string(n)),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(SnapshotCorruption, MissingFileRejected) {
   EXPECT_THROW(load_labeling("/nonexistent/ron.snapshot"), Error);
 }
@@ -761,12 +771,15 @@ TEST(SnapshotCorruption, MissingFileRejected) {
 // --- golden snapshot fixtures ----------------------------------------------
 //
 // Committed files under tests/data/ pin the on-disk format: today's reader
-// must load them, and re-serializing the loaded object must reproduce the
-// committed bytes exactly. Any format change that breaks old snapshots (or
-// makes serialization non-canonical) fails here before it ships. The
-// fixtures are built from literals (no RNG) so they can be regenerated
-// deterministically on any platform:
+// must load them with their content intact. The v2 files must also resave
+// to the committed bytes exactly, so any format change that breaks old
+// snapshots (or makes serialization non-canonical) fails here before it
+// ships. The v2 rings and directory fixtures are built from literals (no
+// RNG) so they can be regenerated deterministically on any platform:
 //   RON_REGEN_GOLDEN=1 ./test_oracle --gtest_filter='Golden*'
+// The v1 files are frozen: nothing writes v1 any more. The v1 labeling,
+// neighbor-system and oracle fixtures hold LabelingFixture(kGoldenLabelingN),
+// and the oracle's v1 meta names it "random-cube", n = 8, seed 23, delta 0.25.
 
 RingsOfNeighbors golden_rings() {
   RingsOfNeighbors rings(6);
@@ -833,16 +846,23 @@ void check_golden_directory(const ObjectDirectory& loaded) {
   }
 }
 
-/// Writes the fixture files when RON_REGEN_GOLDEN is set (a maintenance
-/// mode, skipped in normal runs). The v1 files go through the version gate,
-/// so regeneration can never silently upgrade them.
+constexpr std::size_t kGoldenLabelingN = 8;
+
+void check_golden_labels(const DistanceLabeling& loaded,
+                         const DistanceLabeling& want) {
+  ASSERT_EQ(loaded.n(), want.n());
+  EXPECT_EQ(loaded.psi_bits(), want.psi_bits());
+  EXPECT_EQ(loaded.id_bits(), want.id_bits());
+  EXPECT_EQ(loaded.codec().bits(), want.codec().bits());
+  for (NodeId u = 0; u < want.n(); ++u) {
+    EXPECT_EQ(loaded.label(u), want.label(u)) << "node " << u;
+  }
+}
+
+/// Writes the v2 fixture files when RON_REGEN_GOLDEN is set (a maintenance
+/// mode, skipped in normal runs). The v1 files are never rewritten.
 bool maybe_regen_golden() {
   if (std::getenv("RON_REGEN_GOLDEN") == nullptr) return false;
-  save_rings(golden_rings(), golden_path("golden_rings_v1.snapshot"),
-             ScenarioSpec{}, kSnapshotVersionV1);
-  save_directory(golden_directory_spec_v1(), golden_directory(),
-                 golden_path("golden_directory_v1.snapshot"),
-                 kSnapshotVersionV1);
   save_rings(golden_rings(), golden_path("golden_rings_v2.snapshot"),
              golden_rings_spec_v2());
   save_directory(golden_directory_spec_v2(), golden_directory(),
@@ -850,8 +870,7 @@ bool maybe_regen_golden() {
   return true;
 }
 
-TEST(GoldenSnapshot, RingsV1LoadsAndResavesBitIdenticallyThroughGate) {
-  if (maybe_regen_golden()) GTEST_SKIP() << "regenerated fixtures";
+TEST(GoldenSnapshot, RingsV1Loads) {
   const std::string path = golden_path("golden_rings_v1.snapshot");
   ScenarioSpec spec;
   SnapshotInfo info;
@@ -859,25 +878,82 @@ TEST(GoldenSnapshot, RingsV1LoadsAndResavesBitIdenticallyThroughGate) {
   EXPECT_EQ(info.version, kSnapshotVersionV1);
   EXPECT_TRUE(spec.family.empty()) << "v1 rings carry no recipe";
   check_golden_rings(loaded);
-  TempFile resaved("golden_rings");
-  save_rings(loaded, resaved.path(), ScenarioSpec{}, kSnapshotVersionV1);
-  EXPECT_EQ(slurp(resaved.path()), slurp(path))
-      << "the v1 writer gate no longer reproduces the v1 rings bytes";
 }
 
-TEST(GoldenSnapshot, DirectoryV1LoadsAndResavesBitIdenticallyThroughGate) {
-  if (maybe_regen_golden()) GTEST_SKIP() << "regenerated fixtures";
-  const std::string path = golden_path("golden_directory_v1.snapshot");
+TEST(GoldenSnapshot, DirectoryV1Loads) {
   SnapshotInfo info;
-  const LoadedDirectory loaded = load_directory(path, &info);
+  const LoadedDirectory loaded =
+      load_directory(golden_path("golden_directory_v1.snapshot"), &info);
   EXPECT_EQ(info.version, kSnapshotVersionV1);
   EXPECT_EQ(loaded.spec, golden_directory_spec_v1());
   check_golden_directory(loaded.directory);
-  TempFile resaved("golden_dir");
-  save_directory(loaded.spec, loaded.directory, resaved.path(),
-                 kSnapshotVersionV1);
-  EXPECT_EQ(slurp(resaved.path()), slurp(path))
-      << "the v1 writer gate no longer reproduces the v1 directory bytes";
+}
+
+TEST(GoldenSnapshot, OracleV1Loads) {
+  // The v1 oracle meta cannot carry a family: the loaded spec keeps only
+  // n/seed/delta, next to the display name.
+  const LabelingFixture fx(kGoldenLabelingN);
+  SnapshotInfo info;
+  const LoadedOracle loaded =
+      load_oracle(golden_path("golden_oracle_v1.snapshot"), &info);
+  EXPECT_EQ(info.version, kSnapshotVersionV1);
+  EXPECT_EQ(info.kind, SnapshotKind::kOracle);
+  EXPECT_TRUE(loaded.spec.family.empty());
+  EXPECT_EQ(loaded.spec.n, kGoldenLabelingN);
+  EXPECT_EQ(loaded.spec.seed, 23u);
+  EXPECT_EQ(loaded.spec.delta, 0.25);
+  EXPECT_EQ(loaded.metric_name, "random-cube");
+  check_golden_labels(loaded.labeling, fx.dls);
+}
+
+TEST(GoldenSnapshot, LabelingV1Loads) {
+  const LabelingFixture fx(kGoldenLabelingN);
+  ScenarioSpec spec;
+  SnapshotInfo info;
+  const DistanceLabeling loaded =
+      load_labeling(golden_path("golden_labeling_v1.snapshot"), &spec, &info);
+  EXPECT_EQ(info.version, kSnapshotVersionV1);
+  EXPECT_TRUE(spec.family.empty()) << "v1 labelings carry no recipe";
+  check_golden_labels(loaded, fx.dls);
+}
+
+TEST(GoldenSnapshot, NeighborSystemV1Loads) {
+  const LabelingFixture fx(kGoldenLabelingN);
+  ScenarioSpec spec;
+  SnapshotInfo info;
+  const NeighborSystemSnapshot loaded = load_neighbor_system(
+      golden_path("golden_neighbor_system_v1.snapshot"), &spec, &info);
+  EXPECT_EQ(info.version, kSnapshotVersionV1);
+  EXPECT_TRUE(spec.family.empty()) << "v1 neighbor systems carry no recipe";
+  expect_same_neighbor_system(loaded, fx.sys);
+}
+
+TEST(SnapshotFuzz, V1FixtureMutationsAlwaysThrowRonError) {
+  // The v1 parsers read bytes before the checksum has checked them, like
+  // the v2 ones; the committed fixtures are their only inputs.
+  const auto fixture = [](const char* name, const char* file,
+                          std::function<void(const std::string&)> load) {
+    return FuzzTarget{name,
+                      [file](const std::string& p) {
+                        dump(p, slurp(golden_path(file)));
+                      },
+                      std::move(load)};
+  };
+  const FuzzTarget targets[] = {
+      fixture("rings_v1", "golden_rings_v1.snapshot",
+              [](const std::string& p) { load_rings(p); }),
+      fixture("directory_v1", "golden_directory_v1.snapshot",
+              [](const std::string& p) { load_directory(p); }),
+      fixture("oracle_v1", "golden_oracle_v1.snapshot",
+              [](const std::string& p) { load_oracle(p); }),
+      fixture("labeling_v1", "golden_labeling_v1.snapshot",
+              [](const std::string& p) { load_labeling(p); }),
+      fixture("neighbor_system_v1", "golden_neighbor_system_v1.snapshot",
+              [](const std::string& p) { load_neighbor_system(p); }),
+  };
+  for (const FuzzTarget& target : targets) {
+    expect_mutations_throw_ron_error(target);
+  }
 }
 
 TEST(GoldenSnapshot, RingsV2LoadsAndResavesBitIdentically) {

@@ -165,16 +165,10 @@ std::unique_ptr<TraceSink> make_trace_sink(const Args& args) {
       /*capacity=*/256);
 }
 
-/// The --metrics-out / `stats --format json` envelope — the shared
-/// ron.metrics.v1 writer (telemetry/trace.h), also used by ron_served.
-void write_metrics_json(std::ostream& os,
-                        std::vector<const MetricsRegistry*> registries,
-                        const TraceSink* traces) {
-  write_metrics_envelope(os, std::move(registries), traces);
-}
-
 /// Honors --metrics-out if present: writes the merged telemetry snapshot
-/// of every registry the subcommand touched. No-op without the flag.
+/// of every registry the subcommand touched, as the ron.metrics.v1
+/// envelope (telemetry/trace.h) ron_served also writes. No-op without the
+/// flag.
 void write_metrics_out(const Args& args,
                        std::vector<const MetricsRegistry*> registries,
                        const TraceSink* traces = nullptr) {
@@ -182,7 +176,7 @@ void write_metrics_out(const Args& args,
   const std::string path = args.get("metrics-out", "");
   std::ofstream os(path, std::ios::binary | std::ios::trunc);
   RON_CHECK(os, "cannot open --metrics-out '" << path << "'");
-  write_metrics_json(os, std::move(registries), traces);
+  write_metrics_envelope(os, std::move(registries), traces);
   RON_CHECK(os.good(), "failed writing --metrics-out '" << path << "'");
 }
 
@@ -807,8 +801,9 @@ int cmd_churn(const Args& args) {
   ScenarioBuilder builder(spec, thread_count(args), ProxBackend::kDense);
   ScenarioSpec mut_spec = builder.spec();
   if (!extends_bundle) mut_spec.churn_seed = generator_seed;
+  // The mutator gets a copy: `initial` is also what the bundle stores.
   auto mutator = std::make_unique<OverlayMutator>(builder.prox(), mut_spec,
-                                                  std::move(initial));
+                                                  initial);
   if (!prior.ops.empty()) mutator->apply(prior);
 
   ChurnTraceParams params;
@@ -849,17 +844,7 @@ int cmd_churn(const Args& args) {
   // The bundle stores the directory BEFORE the combined trace — for a
   // directory input that is the loaded one, for a bundle input it is the
   // bundle's own initial state.
-  ObjectDirectory bundle_initial(builder.n());
-  {
-    // Reload cheaply from the input file rather than keeping two copies
-    // alive through the replay: the initial directory is authoritative.
-    if (kind == static_cast<std::uint32_t>(SnapshotKind::kChurnBundle)) {
-      bundle_initial = load_churn_bundle(path).initial;
-    } else {
-      bundle_initial = load_directory(path).directory;
-    }
-  }
-  save_churn_bundle(out_spec, bundle_initial, combined, out);
+  save_churn_bundle(out_spec, initial, combined, out);
 
   const ChurnCounters& c = mutator->counters();
   std::cout << "churned " << fresh.ops.size() << " ops (trace total "
@@ -946,7 +931,7 @@ int cmd_stats(const Args& args) {
     if (format == "prometheus") {
       dump_metrics_prometheus(std::cout, registries);
     } else {
-      write_metrics_json(std::cout, registries, sink.get());
+      write_metrics_envelope(std::cout, registries, sink.get());
     }
     write_metrics_out(args, std::move(registries), sink.get());
     return 0;
