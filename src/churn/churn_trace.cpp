@@ -57,10 +57,7 @@ void ChurnTrace::validate(std::size_t n) const {
   }
 }
 
-namespace {
-
-template <typename Writer>
-void write_trace_payload_impl(Writer& w, const ChurnTrace& trace) {
+void write_trace_payload(WireWriter& w, const ChurnTrace& trace) {
   w.u64(trace.objects.size());
   for (const std::string& name : trace.objects) w.str(name);
   w.u64(trace.ops.size());
@@ -71,8 +68,7 @@ void write_trace_payload_impl(Writer& w, const ChurnTrace& trace) {
   }
 }
 
-template <typename Reader>
-ChurnTrace read_trace_payload_impl(Reader& r, std::size_t n) {
+ChurnTrace read_trace_payload(WireReader& r, std::size_t n) {
   ChurnTrace trace;
   // A name costs at least its length prefix plus one byte.
   const std::uint64_t names = r.read_count(8 + 1, "churn object name");
@@ -92,21 +88,6 @@ ChurnTrace read_trace_payload_impl(Reader& r, std::size_t n) {
   }
   trace.validate(n);
   return trace;
-}
-
-}  // namespace
-
-void write_trace_payload(WireWriter& w, const ChurnTrace& trace) {
-  write_trace_payload_impl(w, trace);
-}
-void write_trace_payload(WireStreamWriter& w, const ChurnTrace& trace) {
-  write_trace_payload_impl(w, trace);
-}
-ChurnTrace read_trace_payload(WireReader& r, std::size_t n) {
-  return read_trace_payload_impl(r, n);
-}
-ChurnTrace read_trace_payload(WireStreamReader& r, std::size_t n) {
-  return read_trace_payload_impl(r, n);
 }
 
 }  // namespace ron

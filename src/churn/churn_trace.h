@@ -35,8 +35,6 @@
 namespace ron {
 
 class WireReader;
-class WireStreamReader;
-class WireStreamWriter;
 class WireWriter;
 
 enum class ChurnOpKind : std::uint8_t {
@@ -76,13 +74,10 @@ struct ChurnTrace {
 };
 
 /// Wire round trip of the trace (the kChurnBundle payload suffix and the
-/// churn-admin frame body). The reader validates everything validate()
-/// checks, so a corrupted trace throws ron::Error instead of replaying
-/// garbage. Both the in-memory and streaming wire classes are accepted
-/// (one template implementation, so the byte encodings cannot diverge).
+/// churn-admin frame body: one encoding for both). The reader validates
+/// everything validate() checks, so a corrupted trace throws ron::Error
+/// instead of replaying garbage.
 void write_trace_payload(WireWriter& w, const ChurnTrace& trace);
-void write_trace_payload(WireStreamWriter& w, const ChurnTrace& trace);
 ChurnTrace read_trace_payload(WireReader& r, std::size_t n);
-ChurnTrace read_trace_payload(WireStreamReader& r, std::size_t n);
 
 }  // namespace ron

@@ -62,20 +62,17 @@ SnapshotInfo open_section_of_kind(const WireStreamReader& r,
 /// Payload prefix shared by every v2 section: the embedded scenario. v1
 /// sections have no prefix; the loader synthesizes an empty-family spec
 /// (kOracle/kObjectDirectory override it from their legacy metas).
-template <typename Reader>
-ScenarioSpec read_spec_prefix(Reader& r, std::uint32_t version) {
+ScenarioSpec read_spec_prefix(WireReader& r, std::uint32_t version) {
   return version >= kSnapshotVersion ? read_spec(r) : ScenarioSpec{};
 }
 
-template <typename Writer>
-void write_node_list(Writer& w, std::span<const NodeId> xs) {
+void write_node_list(WireWriter& w, std::span<const NodeId> xs) {
   w.u64(xs.size());
   for (NodeId v : xs) w.u32(v);
 }
 
 /// Node list with every id validated against n (kInvalidNode rejected).
-template <typename Reader>
-std::vector<NodeId> read_node_list(Reader& r, std::size_t n,
+std::vector<NodeId> read_node_list(WireReader& r, std::size_t n,
                                    const char* what) {
   const std::uint64_t count = r.read_count(sizeof(NodeId), what);
   std::vector<NodeId> xs;
@@ -98,8 +95,7 @@ int u32_to_int(std::uint32_t v) {
 
 // The labeling payload is shared between the kDistanceLabeling section and
 // the kOracle bundle.
-template <typename Writer>
-void write_labeling_payload(Writer& w, const DistanceLabeling& dls) {
+void write_labeling_payload(WireWriter& w, const DistanceLabeling& dls) {
   const DistanceCodec& codec = dls.codec();
   w.u32(static_cast<std::uint32_t>(codec.mantissa_bits()));
   w.u32(static_cast<std::uint32_t>(codec.exponent_bits()));
@@ -109,28 +105,10 @@ void write_labeling_payload(Writer& w, const DistanceLabeling& dls) {
   w.u64(dls.psi_bits());
   w.u64(dls.id_bits());
   w.u64(dls.n());
-  for (NodeId u = 0; u < dls.n(); ++u) {
-    const DlsLabel& lab = dls.label(u);
-    w.u32(lab.id);
-    w.u64(lab.host_dist.size());
-    for (Dist d : lab.host_dist) w.f64(d);
-    w.u64(lab.zeta.size());
-    for (const auto& zeta : lab.zeta) {
-      w.u64(zeta.size());
-      for (const DlsTriple& t : zeta) {
-        w.u32(t.x);
-        w.u32(t.y);
-        w.u32(t.z);
-      }
-    }
-    w.u32(lab.zoom0);
-    w.u64(lab.zoom.size());
-    for (std::uint32_t y : lab.zoom) w.u32(y);
-  }
+  for (NodeId u = 0; u < dls.n(); ++u) write_label(w, dls.label(u));
 }
 
-template <typename Reader>
-DistanceLabeling read_labeling_payload(Reader& r) {
+DistanceLabeling read_labeling_payload(WireReader& r) {
   const int mantissa_bits = u32_to_int(r.u32());
   const int exponent_bits = u32_to_int(r.u32());
   const int min_exp = u32_to_int(r.u32());
@@ -182,7 +160,7 @@ DistanceLabeling read_labeling_payload(Reader& r) {
 // Version 1 carried per-kind provenance structs instead of a spec. The
 // loaders translate them into an equivalent ScenarioSpec.
 
-void read_oracle_meta_v1(WireStreamReader& r, ScenarioSpec& spec,
+void read_oracle_meta_v1(WireReader& r, ScenarioSpec& spec,
                          std::string& metric_name) {
   metric_name = r.str();
   spec.family.clear();  // v1 oracle bundles never named their family
@@ -194,7 +172,7 @@ void read_oracle_meta_v1(WireStreamReader& r, ScenarioSpec& spec,
             "snapshot: oracle meta delta " << spec.delta << " outside (0,1)");
 }
 
-ScenarioSpec read_directory_meta_v1(WireStreamReader& r) {
+ScenarioSpec read_directory_meta_v1(WireReader& r) {
   // v1 directories always rebuilt their overlay with the default ring
   // profile and delta, so the synthesized spec's defaults are exact.
   ScenarioSpec spec;
@@ -210,8 +188,7 @@ ScenarioSpec read_directory_meta_v1(WireStreamReader& r) {
   return spec;
 }
 
-template <typename Writer>
-void write_directory_payload(Writer& w, const ObjectDirectory& dir) {
+void write_directory_payload(WireWriter& w, const ObjectDirectory& dir) {
   w.u64(dir.num_objects());
   for (ObjectId obj = 0; obj < dir.num_objects(); ++obj) {
     w.str(dir.name(obj));
@@ -219,8 +196,7 @@ void write_directory_payload(Writer& w, const ObjectDirectory& dir) {
   }
 }
 
-template <typename Reader>
-ObjectDirectory read_directory_payload(Reader& r, std::size_t n) {
+ObjectDirectory read_directory_payload(WireReader& r, std::size_t n) {
   ObjectDirectory dir(n);
   // Every object costs at least a name length + a holder count.
   const std::uint64_t objects =
@@ -242,6 +218,24 @@ ObjectDirectory read_directory_payload(Reader& r, std::size_t n) {
 }
 
 }  // namespace
+
+void write_label(WireWriter& w, const DlsLabel& label) {
+  w.u32(label.id);
+  w.u64(label.host_dist.size());
+  for (Dist d : label.host_dist) w.f64(d);
+  w.u64(label.zeta.size());
+  for (const auto& zeta : label.zeta) {
+    w.u64(zeta.size());
+    for (const DlsTriple& t : zeta) {
+      w.u32(t.x);
+      w.u32(t.y);
+      w.u32(t.z);
+    }
+  }
+  w.u32(label.zoom0);
+  w.u64(label.zoom.size());
+  for (std::uint32_t y : label.zoom) w.u32(y);
+}
 
 SnapshotInfo inspect_snapshot(const std::string& path) {
   // Verifies length and checksum in one bounded-memory pass, so

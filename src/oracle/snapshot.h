@@ -10,7 +10,9 @@
 //
 // The container (header layout, known versions, each version's checksum
 // domain) belongs to oracle/wire.h: every section is written through
-// WireStreamWriter and read through WireStreamReader, a chunk at a time.
+// WireStreamWriter and read through WireStreamReader, a chunk at a time,
+// and the payload helpers behind them are written once over the
+// WireWriter/WireReader primitives that served frames use too.
 //
 // Format version 2 (the only one saves write): every section kind embeds
 // the ScenarioSpec the artifact was built from as a payload prefix, so any
@@ -181,6 +183,12 @@ void save_labeling(const DistanceLabeling& dls, const std::string& path,
 DistanceLabeling load_labeling(const std::string& path,
                                ScenarioSpec* spec = nullptr,
                                SnapshotInfo* info = nullptr);
+
+/// The one encoding of a single label: the per-label block of the
+/// labeling payload (kDistanceLabeling and kOracle sections). The
+/// simulator prices its estimate exchange with it, so a label costs the
+/// same bytes on the simulated wire as on disk.
+void write_label(WireWriter& w, const DlsLabel& label);
 
 // --- Oracle serving bundle -------------------------------------------------
 

@@ -127,11 +127,42 @@ void AtomicFile::commit() {
   }
 }
 
+// --- reader primitives ----------------------------------------------------
+
+void WireReader::fetch(std::size_t n, const char* what) {
+  RON_CHECK(n <= remaining(), "snapshot truncated reading "
+                                  << what << " (" << n << " bytes wanted, "
+                                  << remaining() << " left)");
+  refill();
+}
+
+void WireReader::refill() {
+  RON_CHECK(false, "wire: " << unfetched_
+                            << " unfetched bytes and no file to fetch them");
+}
+
+std::string WireReader::str() {
+  const std::uint64_t len = u64();
+  RON_CHECK(len <= remaining(), "snapshot truncated reading str body ("
+                                    << len << " bytes wanted, " << remaining()
+                                    << " left)");
+  std::string s;
+  s.reserve(static_cast<std::size_t>(len));
+  while (s.size() < len) {
+    if (pos_ == data_.size()) refill();
+    const std::size_t take = static_cast<std::size_t>(
+        std::min<std::uint64_t>(len - s.size(), data_.size() - pos_));
+    s.append(reinterpret_cast<const char*>(data_.data() + pos_), take);
+    pos_ += take;
+  }
+  return s;
+}
+
 // --- streaming writer -----------------------------------------------------
 
 WireStreamWriter::WireStreamWriter(const std::string& path, std::uint32_t kind)
-    : file_(path),
-      out_(file_.stream()),
+    : WireWriter(kStreamChunkBytes),
+      file_(path),
       sum_(checksum_seed(kSnapshotVersion, kind)) {
   WireWriter header;
   for (std::uint8_t b : kSnapshotMagic) header.u8(b);
@@ -139,33 +170,31 @@ WireStreamWriter::WireStreamWriter(const std::string& path, std::uint32_t kind)
   header.u32(kind);
   header.u64(0);  // payload length — patched by finish()
   header.u64(0);  // checksum — patched by finish()
-  write_stream_bytes(out_, header.bytes(), "header");
-  chunk_.reserve(kStreamChunkBytes + sizeof(std::uint64_t));
+  write_stream_bytes(file_.stream(), header.bytes(), "header");
+  buf_.reserve(kStreamChunkBytes + sizeof(std::uint64_t));
 }
 
-WireStreamWriter::~WireStreamWriter() = default;
-
-void WireStreamWriter::flush_chunk() {
-  if (chunk_.empty()) return;
-  sum_ = fnv1a64_continue(sum_, chunk_);
-  write_stream_bytes(out_, chunk_, "payload chunk");
-  total_ += chunk_.size();
-  chunk_.clear();
+void WireStreamWriter::spill() {
+  sum_ = fnv1a64_continue(sum_, buf_);
+  write_stream_bytes(file_.stream(), buf_, "payload chunk");
+  spilled_ += buf_.size();
+  buf_.clear();
 }
 
 void WireStreamWriter::finish() {
   RON_CHECK(!finished_, "snapshot: finish() called twice on "
                             << file_.path());
-  flush_chunk();
+  spill();
   // Patch the placeholder length/checksum fields (byte offsets 16 and 24:
   // magic[8] + version u32 + kind u32 precede them).
   WireWriter tail;
-  tail.u64(total_);
+  tail.u64(spilled_);
   tail.u64(sum_);
-  out_.seekp(16, std::ios::beg);
-  RON_CHECK(out_.good(), "snapshot: cannot seek to patch header of "
-                             << file_.path());
-  write_stream_bytes(out_, tail.bytes(), "header patch");
+  std::ofstream& out = file_.stream();
+  out.seekp(16, std::ios::beg);
+  RON_CHECK(out.good(), "snapshot: cannot seek to patch header of "
+                            << file_.path());
+  write_stream_bytes(out, tail.bytes(), "header patch");
   file_.commit();
   finished_ = true;
 }
@@ -207,67 +236,39 @@ WireStreamReader::WireStreamReader(const std::string& path)
                          << header_.payload_bytes
                          << " (truncated or trailing garbage)");
   sum_ = checksum_seed(header_.version, header_.kind);
+  unfetched_ = header_.payload_bytes;
+  // Uninitialized: every byte the parser sees is fetched first.
+  capacity_ = static_cast<std::size_t>(
+      std::min<std::uint64_t>(kStreamChunkBytes, header_.payload_bytes));
+  window_ = std::make_unique_for_overwrite<std::uint8_t[]>(capacity_);
 }
 
-void WireStreamReader::need(std::size_t n, const char* what) {
-  if (avail_ - pos_ >= n) return;
-  if (buf_.empty()) buf_.resize(kStreamChunkBytes);
-  RON_CHECK(n <= buf_.size(), "snapshot: oversized read of " << n
-                                  << " bytes (" << what << ")");
-  // Slide the unread tail to the front, then refill greedily up to the
-  // payload boundary, folding fetched bytes into the running checksum.
-  const std::size_t tail = avail_ - pos_;
-  if (tail > 0 && pos_ > 0) std::memmove(buf_.data(), buf_.data() + pos_,
-                                         tail);
-  pos_ = 0;
-  avail_ = tail;
-  const std::uint64_t left = header_.payload_bytes - fetched_;
+void WireStreamReader::refill() {
+  // Slide the unread tail to the front, then fill the window up to its
+  // capacity or the payload boundary, folding fetched bytes into the
+  // running checksum. That covers the read that ran short: it wants at
+  // most min(remaining(), 8) bytes, and capacity_ is at least that.
+  const std::size_t tail = data_.size() - pos_;
+  std::memmove(window_.get(), window_.get() + pos_, tail);
   const std::size_t want = static_cast<std::size_t>(
-      std::min<std::uint64_t>(buf_.size() - avail_, left));
-  if (want > 0) {
-    read_stream_bytes(in_, std::span(buf_.data() + avail_, want), what);
-    sum_ = fnv1a64_continue(
-        sum_, std::span<const std::uint8_t>(buf_.data() + avail_, want));
-    fetched_ += want;
-    avail_ += want;
-  }
-  RON_CHECK(avail_ >= n, "snapshot truncated reading "
-                             << what << " (" << n << " bytes wanted, "
-                             << avail_ << " left)");
-}
-
-std::string WireStreamReader::str() {
-  const std::uint64_t len = u64();
-  RON_CHECK(len <= remaining(), "snapshot truncated reading str body ("
-                                    << len << " bytes wanted, " << remaining()
-                                    << " left)");
-  std::string s;
-  s.reserve(static_cast<std::size_t>(len));
-  std::uint64_t left = len;
-  while (left > 0) {
-    const std::size_t take = static_cast<std::size_t>(
-        std::min<std::uint64_t>(left, kStreamChunkBytes / 2));
-    need(take, "str body");
-    s.append(reinterpret_cast<const char*>(buf_.data() + pos_), take);
-    pos_ += take;
-    consumed_ += take;
-    left -= take;
-  }
-  return s;
+      std::min<std::uint64_t>(capacity_ - tail, unfetched_));
+  const std::span<std::uint8_t> fresh(window_.get() + tail, want);
+  read_stream_bytes(in_, fresh, "payload");
+  sum_ = fnv1a64_continue(sum_, fresh);
+  unfetched_ -= want;
+  data_ = std::span<const std::uint8_t>(window_.get(), tail + want);
+  pos_ = 0;
 }
 
 void WireStreamReader::drain() {
-  while (!done()) {
-    const std::size_t take = static_cast<std::size_t>(
-        std::min<std::uint64_t>(remaining(), kStreamChunkBytes / 2));
-    need(take, "payload");
-    pos_ += take;
-    consumed_ += take;
+  pos_ = data_.size();
+  while (unfetched_ > 0) {
+    refill();
+    pos_ = data_.size();
   }
 }
 
-void WireStreamReader::expect_done() {
-  RON_CHECK(done(), "snapshot: " << remaining() << " trailing bytes");
+void WireStreamReader::check_consumed() const {
   RON_CHECK(sum_ == header_.checksum,
             "snapshot: " << path_ << " checksum mismatch (corrupt payload)");
 }

@@ -1,14 +1,19 @@
-// Little-endian wire primitives for snapshots and served frames.
+// One little-endian wire codec for snapshots and served frames.
 //
-// Snapshots must load safely from untrusted bytes: a truncated download, a
-// bit-flipped disk block or a file of the wrong kind has to surface as
-// ron::Error, never as UB or an unbounded allocation. WireWriter builds a
-// buffer in memory (served frames); WireReader is a bounds-checked cursor
-// over loaded bytes — every read validates the remaining length first, and
-// every count that sizes an allocation is validated against the bytes that
-// could possibly back it (see read_count). WireStreamWriter and
-// WireStreamReader offer the same primitives over a file and own the
-// snapshot container: every snapshot is written and read through them.
+// Snapshots and frames both come from untrusted bytes: a truncated
+// download, a bit-flipped disk block, a file of the wrong kind or a hostile
+// client has to surface as ron::Error, never as UB or an unbounded
+// allocation. WireWriter and WireReader are the only implementation of the
+// primitives (u8/u32/u64/f64/str, read_count, expect_done): every read
+// validates the remaining length first, and every count that sizes an
+// allocation is validated against the bytes that could possibly back it
+// (see read_count). Memory or file is only where the bytes come from or go
+// to. A WireWriter builds a buffer in memory (a served frame);
+// WireStreamWriter is a WireWriter whose buffer spills to a snapshot file.
+// A WireReader is a cursor over bytes in memory (a frame body);
+// WireStreamReader is a WireReader whose window refills from a snapshot
+// file. The stream classes also own the snapshot container: every snapshot
+// is written and read through them.
 //
 // All integers are fixed-width little-endian; doubles travel as their IEEE
 // bit pattern (round trips are bit-identical, which the serving layer's
@@ -20,6 +25,8 @@
 #include <cstring>
 #include <fstream>
 #include <iosfwd>
+#include <limits>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -31,8 +38,9 @@ namespace ron {
 /// Writes `bytes` to `out` (binary), throwing ron::Error naming `what` on a
 /// short write. This and read_stream_bytes are the ONLY place snapshot code
 /// touches raw char buffers: tools/ron_lint.py forbids memcpy and
-/// reinterpret_cast in src/oracle/ outside wire.{h,cpp}, so every byte that
-/// crosses a stream boundary goes through these bounds-checked helpers.
+/// reinterpret_cast in the wire-encoding modules outside wire.{h,cpp}, so
+/// every byte that crosses a stream boundary goes through these
+/// bounds-checked helpers.
 void write_stream_bytes(std::ostream& out, std::span<const std::uint8_t> bytes,
                         const char* what);
 
@@ -75,7 +83,7 @@ class AtomicFile {
   bool committed_ = false;
 };
 
-/// Snapshot container framing, owned by the streaming classes below:
+/// Snapshot container framing, owned by the stream classes below:
 /// magic[8] + u32 version + u32 kind + u64 payload length + u64 checksum,
 /// then the payload. Saves write kSnapshotVersion; loads also accept
 /// kSnapshotVersionV1. The checksum domain depends on the version: v1
@@ -88,6 +96,11 @@ inline constexpr std::uint8_t kSnapshotMagic[8] = {'R', 'O', 'N', 'S',
 inline constexpr std::size_t kSnapshotHeaderBytes = 8 + 4 + 4 + 8 + 8;
 inline constexpr std::uint32_t kSnapshotVersion = 2;
 inline constexpr std::uint32_t kSnapshotVersionV1 = 1;
+
+/// The most payload a stream class holds in memory at once: a writer
+/// spills its buffer to disk at this size, and a reader's window holds at
+/// most this many bytes (fewer when the whole payload is smaller).
+inline constexpr std::size_t kStreamChunkBytes = 1 << 20;
 
 /// FNV-1a 64-bit checksum (the snapshot header's corruption detector; this
 /// guards against accidental damage, not adversaries). The _continue form
@@ -102,7 +115,12 @@ std::uint64_t fnv1a64_continue(std::uint64_t state,
 
 class WireWriter {
  public:
-  void u8(std::uint8_t v) { buf_.push_back(v); }
+  WireWriter() = default;
+
+  void u8(std::uint8_t v) {
+    buf_.push_back(v);
+    spill_if_full();
+  }
   void u32(std::uint32_t v) { put_le(v); }
   void u64(std::uint64_t v) { put_le(v); }
   void f64(double v) { put_le(std::bit_cast<std::uint64_t>(v)); }
@@ -111,80 +129,69 @@ class WireWriter {
   void str(const std::string& s) {
     u64(s.size());
     buf_.insert(buf_.end(), s.begin(), s.end());
+    spill_if_full();
   }
 
+  /// The bytes not yet spilled: everything written, for a writer that
+  /// does not spill.
   const std::vector<std::uint8_t>& bytes() const { return buf_; }
-  std::size_t size() const { return buf_.size(); }
+  /// Bytes written so far, spilled ones included.
+  std::uint64_t size() const { return spilled_ + buf_.size(); }
+
+ protected:
+  /// A writer whose spill() runs whenever the buffer reaches `spill_at`.
+  explicit WireWriter(std::size_t spill_at) : spill_at_(spill_at) {}
+
+  /// Hands the buffered bytes on and clears the buffer (adding them to
+  /// spilled_). Never called on a writer that does not spill.
+  virtual void spill() {}
+
+  std::vector<std::uint8_t> buf_;
+  std::uint64_t spilled_ = 0;
 
  private:
+  void spill_if_full() {
+    if (buf_.size() >= spill_at_) spill();
+  }
+
   template <typename T>
   void put_le(T v) {
     for (std::size_t i = 0; i < sizeof(T); ++i) {
       buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
     }
+    spill_if_full();
   }
 
-  std::vector<std::uint8_t> buf_;
+  std::size_t spill_at_ = std::numeric_limits<std::size_t>::max();
 };
 
-/// Writes one snapshot file, the only way a snapshot is saved: payload
-/// bytes are folded into a running FNV-1a state and flushed to disk
-/// kStreamChunkBytes at a time, so peak memory is one chunk instead of the
-/// whole payload. The header is written up front with placeholder
-/// length/checksum fields; finish() seeks back and patches them. The bytes
-/// go to an AtomicFile, so the target only changes when finish()
-/// succeeds. The primitive API mirrors WireWriter, so payload helpers can
-/// be written once as templates.
-inline constexpr std::size_t kStreamChunkBytes = 1 << 20;
-
-class WireStreamWriter {
+/// Writes one snapshot file, the only way a snapshot is saved: a
+/// WireWriter whose buffer is folded into a running FNV-1a state and
+/// spilled to disk every kStreamChunkBytes, so peak memory is one chunk
+/// instead of the whole payload. The header is written up front with
+/// placeholder length/checksum fields; finish() seeks back and patches
+/// them. The bytes go to an AtomicFile, so the target only changes when
+/// finish() succeeds.
+class WireStreamWriter : public WireWriter {
  public:
   /// Opens `path` and writes a kSnapshotVersion header for section `kind`
   /// with placeholder length and checksum.
   WireStreamWriter(const std::string& path, std::uint32_t kind);
-  ~WireStreamWriter();
   WireStreamWriter(const WireStreamWriter&) = delete;
   WireStreamWriter& operator=(const WireStreamWriter&) = delete;
 
-  void u8(std::uint8_t v) {
-    chunk_.push_back(v);
-    if (chunk_.size() >= kStreamChunkBytes) flush_chunk();
-  }
-  void u32(std::uint32_t v) { put_le(v); }
-  void u64(std::uint64_t v) { put_le(v); }
-  void f64(double v) { put_le(std::bit_cast<std::uint64_t>(v)); }
-
-  /// Length-prefixed (u64) byte string.
-  void str(const std::string& s) {
-    u64(s.size());
-    for (char c : s) u8(static_cast<std::uint8_t>(c));
-  }
-
-  /// Payload bytes emitted so far.
-  std::uint64_t size() const { return total_ + chunk_.size(); }
-
-  /// Flushes the tail chunk, patches the header's payload length and
-  /// checksum, and renames the finished file over the target. Must be
-  /// called exactly once for a valid snapshot. Destroying an unfinished
-  /// writer (the exception path) removes its temporary file and leaves
-  /// whatever the target held before untouched.
+  /// Spills the tail, patches the header's payload length and checksum,
+  /// and renames the finished file over the target. Must be called
+  /// exactly once for a valid snapshot. Destroying an unfinished writer
+  /// (the exception path) removes its temporary file and leaves whatever
+  /// the target held before untouched.
   void finish();
 
  private:
-  void flush_chunk();
-
-  template <typename T>
-  void put_le(T v) {
-    for (std::size_t i = 0; i < sizeof(T); ++i) {
-      u8(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-  }
+  void spill() override;
 
   AtomicFile file_;
-  std::ofstream& out_;
-  std::vector<std::uint8_t> chunk_;
-  std::uint64_t total_ = 0;  // payload bytes already flushed
-  std::uint64_t sum_;        // running checksum over flushed bytes
+  std::uint64_t sum_;  // running checksum over spilled bytes
   bool finished_ = false;
 };
 
@@ -193,8 +200,10 @@ class WireReader {
   /// A non-owning cursor; `bytes` must outlive the reader.
   explicit WireReader(std::span<const std::uint8_t> bytes) : data_(bytes) {}
 
-  std::size_t remaining() const { return data_.size() - pos_; }
-  bool done() const { return pos_ == data_.size(); }
+  /// Unread bytes: the rest of the window, plus what a stream reader has
+  /// not fetched yet.
+  std::uint64_t remaining() const { return data_.size() - pos_ + unfetched_; }
+  bool done() const { return remaining() == 0; }
 
   std::uint8_t u8() {
     need(1, "u8");
@@ -204,14 +213,7 @@ class WireReader {
   std::uint64_t u64() { return get_le<std::uint64_t>("u64"); }
   double f64() { return std::bit_cast<double>(get_le<std::uint64_t>("f64")); }
 
-  std::string str() {
-    const std::uint64_t len = u64();
-    need(len, "str body");
-    std::string s(reinterpret_cast<const char*>(data_.data() + pos_),
-                  static_cast<std::size_t>(len));
-    pos_ += static_cast<std::size_t>(len);
-    return s;
-  }
+  std::string str();
 
   /// An element count that will size an allocation: rejected unless
   /// count * min_elem_bytes still fits in the unread payload, so a corrupt
@@ -226,17 +228,34 @@ class WireReader {
     return count;
   }
 
-  /// Loads must consume the payload exactly; trailing garbage is corruption.
+  /// Loads must consume the payload exactly; trailing garbage is
+  /// corruption. A stream reader also verifies its checksum here.
   void expect_done() const {
     RON_CHECK(done(), "snapshot: " << remaining() << " trailing bytes");
+    check_consumed();
   }
 
+ protected:
+  WireReader() = default;
+
+  /// Moves the window on over unfetched bytes. Only called when a read
+  /// that remaining() covers runs past the window, which never happens to
+  /// a reader over memory (nothing unfetched); a WireReader copied off a
+  /// stream reader throws here instead of reading past its window.
+  virtual void refill();
+  /// Runs once the payload is consumed exactly (see expect_done).
+  virtual void check_consumed() const {}
+
+  std::span<const std::uint8_t> data_;  // the window
+  std::size_t pos_ = 0;                 // next unread byte in data_
+  std::uint64_t unfetched_ = 0;         // bytes after the window
+
  private:
-  void need(std::uint64_t n, const char* what) const {
-    RON_CHECK(n <= remaining(), "snapshot truncated reading " << what << " ("
-                                    << n << " bytes wanted, " << remaining()
-                                    << " left)");
+  void need(std::size_t n, const char* what) {
+    if (n > data_.size() - pos_) fetch(n, what);
   }
+  /// The slow path of need(): truncation check, then refill.
+  void fetch(std::size_t n, const char* what);
 
   template <typename T>
   T get_le(const char* what) {
@@ -248,25 +267,22 @@ class WireReader {
     pos_ += sizeof(T);
     return v;
   }
-
-  std::span<const std::uint8_t> data_;
-  std::size_t pos_ = 0;
 };
 
-/// Reads one snapshot file, the only way a snapshot is loaded: serves
-/// WireReader's primitive API from a sliding window over the file, so
-/// loading a section holds one chunk plus the data structure being built,
-/// never the whole payload. The constructor validates the magic, a known
-/// version and the exact file length against the header's payload
-/// promise, and seeds the running checksum from that version's domain
-/// (the section kind is the caller's to check). The checksum is folded
-/// over bytes as they are buffered, so the parser sees each byte BEFORE
-/// the checksum has checked it: every allocation sized from a stored count
-/// must be bounded by the unread payload (read_count), and expect_done() —
-/// which every loader must reach — verifies full consumption AND the
-/// checksum, so corruption still surfaces as ron::Error before the loaded
-/// object is returned.
-class WireStreamReader {
+/// Reads one snapshot file, the only way a snapshot is loaded: a
+/// WireReader whose window slides over the file, so loading a section
+/// holds one window (at most kStreamChunkBytes, sized to the payload when
+/// that is smaller) plus the data structure being built, never the whole
+/// payload. The constructor validates the magic, a known version and the
+/// exact file length against the header's payload promise, and seeds the
+/// running checksum from that version's domain (the section kind is the
+/// caller's to check). The checksum is folded over each refill, so the
+/// parser sees each byte BEFORE the checksum has checked it: every
+/// allocation sized from a stored count must be bounded by the unread
+/// payload (read_count), and expect_done() — which every loader must
+/// reach — verifies full consumption AND the checksum, so corruption still
+/// surfaces as ron::Error before the loaded object is returned.
+class WireStreamReader : public WireReader {
  public:
   struct Header {
     std::uint32_t version = 0;
@@ -285,57 +301,16 @@ class WireStreamReader {
   /// length and checksum without building anything).
   void drain();
 
-  std::uint64_t remaining() const { return header_.payload_bytes - consumed_; }
-  bool done() const { return consumed_ == header_.payload_bytes; }
-
-  std::uint8_t u8() {
-    need(1, "u8");
-    ++consumed_;
-    return buf_[pos_++];
-  }
-  std::uint32_t u32() { return get_le<std::uint32_t>("u32"); }
-  std::uint64_t u64() { return get_le<std::uint64_t>("u64"); }
-  double f64() { return std::bit_cast<double>(get_le<std::uint64_t>("f64")); }
-
-  std::string str();
-
-  /// An element count that will size an allocation (see WireReader).
-  std::uint64_t read_count(std::size_t min_elem_bytes, const char* what) {
-    const std::uint64_t count = u64();
-    RON_CHECK(min_elem_bytes == 0 || count <= remaining() / min_elem_bytes,
-              "snapshot: implausible " << what << " count " << count << " ("
-                                       << remaining() << " bytes left)");
-    return count;
-  }
-
-  /// Verifies the payload was consumed exactly and the checksum matches.
-  void expect_done();
-
  private:
-  /// Ensures >= n contiguous unread bytes are buffered (n <= chunk size).
-  void need(std::size_t n, const char* what);
-
-  template <typename T>
-  T get_le(const char* what) {
-    need(sizeof(T), what);
-    T v = 0;
-    for (std::size_t i = 0; i < sizeof(T); ++i) {
-      v |= static_cast<T>(buf_[pos_ + i]) << (8 * i);
-    }
-    pos_ += sizeof(T);
-    consumed_ += sizeof(T);
-    return v;
-  }
+  void refill() override;
+  void check_consumed() const override;
 
   std::string path_;
   std::ifstream in_;
   Header header_;
-  std::vector<std::uint8_t> buf_;
-  std::size_t pos_ = 0;        // next unread byte in buf_
-  std::size_t avail_ = 0;      // valid bytes in buf_
-  std::uint64_t fetched_ = 0;  // payload bytes pulled off the stream
-  std::uint64_t consumed_ = 0; // payload bytes handed to the parser
-  std::uint64_t sum_ = 0;      // running checksum over fetched bytes
+  std::unique_ptr<std::uint8_t[]> window_;
+  std::size_t capacity_ = 0;  // bytes window_ holds
+  std::uint64_t sum_ = 0;     // running checksum over fetched bytes
 };
 
 }  // namespace ron

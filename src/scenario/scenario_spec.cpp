@@ -185,8 +185,7 @@ std::string ScenarioSpec::to_string() const {
   return s;
 }
 
-template <typename Writer>
-void write_spec_impl(Writer& w, const ScenarioSpec& spec) {
+void write_spec(WireWriter& w, const ScenarioSpec& spec) {
   validate_wire_spec(spec);
   w.str(spec.family);
   w.u64(spec.n);
@@ -215,15 +214,7 @@ void write_spec_impl(Writer& w, const ScenarioSpec& spec) {
   }
 }
 
-void write_spec(WireWriter& w, const ScenarioSpec& spec) {
-  write_spec_impl(w, spec);
-}
-void write_spec(WireStreamWriter& w, const ScenarioSpec& spec) {
-  write_spec_impl(w, spec);
-}
-
-template <typename Reader>
-ScenarioSpec read_spec_impl(Reader& r) {
+ScenarioSpec read_spec(WireReader& r) {
   ScenarioSpec spec;
   spec.family = r.str();
   spec.n = r.u64();
@@ -266,8 +257,5 @@ ScenarioSpec read_spec_impl(Reader& r) {
   validate_wire_spec(spec);
   return spec;
 }
-
-ScenarioSpec read_spec(WireReader& r) { return read_spec_impl(r); }
-ScenarioSpec read_spec(WireStreamReader& r) { return read_spec_impl(r); }
 
 }  // namespace ron

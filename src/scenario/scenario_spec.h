@@ -45,8 +45,6 @@
 namespace ron {
 
 class WireReader;
-class WireStreamReader;
-class WireStreamWriter;
 class WireWriter;
 
 struct ScenarioSpec {
@@ -94,11 +92,9 @@ struct ScenarioSpec {
 /// Wire-format round trip (the snapshot payload embedding). read_spec
 /// validates every field range and the canonical param ordering, so a
 /// corrupted spec throws ron::Error instead of producing a nonsense recipe.
-/// Both the in-memory and streaming wire classes are accepted (one template
-/// implementation, so the byte encodings cannot diverge).
+/// Snapshot files pass their stream classes, which are a WireWriter and a
+/// WireReader.
 void write_spec(WireWriter& w, const ScenarioSpec& spec);
-void write_spec(WireStreamWriter& w, const ScenarioSpec& spec);
 ScenarioSpec read_spec(WireReader& r);
-ScenarioSpec read_spec(WireStreamReader& r);
 
 }  // namespace ron

@@ -30,7 +30,8 @@ void Client::connect(const std::string& host, std::uint16_t port) {
   }
   int rc;
   do {
-    rc = ::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+    // The sockets API takes every address through a sockaddr pun.
+    rc = ::connect(fd, reinterpret_cast<const sockaddr*>(&addr),  // ron-lint: allow(raw-bytes)
                    sizeof(addr));
   } while (rc != 0 && errno == EINTR);
   if (rc != 0) {

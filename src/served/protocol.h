@@ -10,11 +10,13 @@
 //   [u8 protocol version] [u8 message type] [u64 request id] [body ...]
 //
 // The body of every message kind is encoded with WireWriter and decoded
-// with WireReader — the in-memory twins of the snapshot stream classes,
-// with the same bounds checks and count validation — so a truncated,
-// garbled or malicious frame surfaces as ron::Error at a validated
-// boundary, never as UB or an unbounded allocation. Clients are untrusted peers: the server
-// answers a malformed-but-framed payload with an error frame and keeps the
+// with WireReader: the one wire codec, which snapshot files go through too
+// (their stream classes are a WireWriter and a WireReader backed by a
+// file). Frames and snapshots therefore share every bounds check and count
+// validation, so a truncated, garbled or malicious frame surfaces as
+// ron::Error at a validated boundary, never as UB or an unbounded
+// allocation. Clients are untrusted peers: the server answers a
+// malformed-but-framed payload with an error frame and keeps the
 // connection, and drops the connection only when framing itself is broken
 // (an oversized length prefix — there is no way to find the next frame
 // boundary after that).

@@ -102,7 +102,8 @@ std::uint16_t Server::start() {
   RON_CHECK(::inet_pton(AF_INET, opts_.host.c_str(), &addr.sin_addr) == 1,
             "served: host '" << opts_.host
                              << "' is not an IPv4 address literal");
-  RON_CHECK(::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr),
+  // The sockets API takes every address through a sockaddr pun.
+  RON_CHECK(::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr),  // ron-lint: allow(raw-bytes)
                    sizeof(addr)) == 0,
             "served: bind " << opts_.host << ":" << opts_.port << ": "
                             << std::strerror(errno));
@@ -111,7 +112,7 @@ std::uint16_t Server::start() {
 
   sockaddr_in bound{};
   socklen_t len = sizeof(bound);
-  RON_CHECK(::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound),
+  RON_CHECK(::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound),  // ron-lint: allow(raw-bytes)
                           &len) == 0,
             "served: getsockname: " << std::strerror(errno));
   port_ = ntohs(bound.sin_port);

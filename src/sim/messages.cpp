@@ -1,6 +1,8 @@
 #include "sim/messages.h"
 
 #include "common/check.h"
+#include "oracle/snapshot.h"
+#include "oracle/wire.h"
 
 namespace ron::sim {
 
@@ -24,27 +26,6 @@ const char* to_string(SimMsgType t) {
     case SimMsgType::kBounce: return "BOUNCE";
   }
   return "UNKNOWN";
-}
-
-void write_label(WireWriter& w, const DlsLabel& label) {
-  // Mirrors the per-label block of the snapshot labeling payload
-  // (src/oracle/snapshot.cpp) so the estimate exchange is priced at the
-  // same rate the label ships at on disk.
-  w.u32(label.id);
-  w.u64(label.host_dist.size());
-  for (const Dist d : label.host_dist) w.f64(d);
-  w.u64(label.zeta.size());
-  for (const auto& level : label.zeta) {
-    w.u64(level.size());
-    for (const DlsTriple& t : level) {
-      w.u32(t.x);
-      w.u32(t.y);
-      w.u32(t.z);
-    }
-  }
-  w.u32(label.zoom0);
-  w.u64(label.zoom.size());
-  for (const std::uint32_t z : label.zoom) w.u32(z);
 }
 
 namespace {

@@ -23,7 +23,6 @@
 
 #include "common/types.h"
 #include "labeling/distance_labels.h"
-#include "oracle/wire.h"
 
 namespace ron::sim {
 
@@ -96,10 +95,6 @@ struct SimMessage {
   /// kBounce: the type of the echoed (undeliverable) message.
   SimMsgType failed_type = SimMsgType::kLocateStep;
 };
-
-/// Serialized size of the snapshot-layer encoding of a label (the payload
-/// cost of an ESTIMATE reply, and of a label inside SimNode::state_bytes).
-void write_label(WireWriter& w, const DlsLabel& label);
 
 /// Serialized size of `m` in the wire.h encoding (header + the fields the
 /// type actually carries; a bounce prices the echoed message too).

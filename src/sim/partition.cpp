@@ -10,7 +10,8 @@ namespace ron::sim {
 
 NodeId home_of(const std::string& name, std::uint32_t rank, std::size_t n) {
   RON_CHECK(n >= 1, "home_of: empty overlay for object '" << name << "'");
-  const auto* bytes = reinterpret_cast<const std::uint8_t*>(name.data());
+  // Hashes the name's bytes in place; nothing is decoded from them.
+  const auto* bytes = reinterpret_cast<const std::uint8_t*>(name.data());  // ron-lint: allow(raw-bytes)
   const std::uint64_t h = fnv1a64(std::span(bytes, name.size()));
   // Golden-ratio stride: successive candidates are spread over the id
   // space; an occasional collision between ranks merely wastes one probe.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "oracle/snapshot.h"
 #include "oracle/wire.h"
 #include "sim/messages.h"
 

@@ -34,6 +34,8 @@
 #include "oracle/snapshot.h"
 #include "oracle/wire.h"
 
+#include "fuzz_mutate.h"
+
 namespace ron {
 namespace {
 
@@ -573,50 +575,6 @@ std::vector<FuzzTarget> fuzz_targets(const LabelingFixture& fx) {
   };
 }
 
-/// Applies one random mutation; guaranteed to change the bytes.
-std::vector<char> mutate(const std::vector<char>& original, Rng& rng) {
-  std::vector<char> bytes = original;
-  switch (rng.index(4)) {
-    case 0: {  // flip 1..4 bytes anywhere (header and payload alike)
-      const std::size_t flips = 1 + rng.index(4);
-      for (std::size_t f = 0; f < flips; ++f) {
-        const std::size_t pos = rng.index(bytes.size());
-        bytes[pos] = static_cast<char>(
-            bytes[pos] ^ static_cast<char>(1 + rng.index(255)));
-      }
-      // Two flips on the same position with the same mask cancel; force a
-      // change so the identity never masquerades as a mutation.
-      if (bytes == original) bytes[0] = static_cast<char>(bytes[0] ^ 0x01);
-      break;
-    }
-    case 1: {  // truncate to a random prefix (possibly empty)
-      bytes.resize(rng.index(bytes.size()));
-      break;
-    }
-    case 2: {  // append 1..16 random trailing bytes
-      const std::size_t extra = 1 + rng.index(16);
-      for (std::size_t i = 0; i < extra; ++i) {
-        bytes.push_back(static_cast<char>(rng.index(256)));
-      }
-      break;
-    }
-    default: {  // scramble a random window of 1..32 bytes
-      const std::size_t start = rng.index(bytes.size());
-      const std::size_t len =
-          std::min(1 + rng.index(32), bytes.size() - start);
-      bool changed = false;
-      for (std::size_t i = start; i < start + len; ++i) {
-        const char b = static_cast<char>(rng.index(256));
-        changed = changed || b != bytes[i];
-        bytes[i] = b;
-      }
-      if (!changed) bytes[start] = static_cast<char>(bytes[start] ^ 0x01);
-      break;
-    }
-  }
-  return bytes;
-}
-
 /// Saves the target, checks it loads, then loads 1000 mutations of it:
 /// each must throw ron::Error.
 void expect_mutations_throw_ron_error(const FuzzTarget& target) {
@@ -768,14 +726,28 @@ TEST(SnapshotCorruption, MissingFileRejected) {
   EXPECT_THROW(load_labeling("/nonexistent/ron.snapshot"), Error);
 }
 
+TEST(Wire, ReaderCopiedOffAStreamThrowsAtItsWindowEnd) {
+  // A WireStreamReader is a WireReader, so it can be copied into one by
+  // value; the copy keeps the window and the unfetched count but not the
+  // file, and must throw rather than read past the window.
+  TempFile file("sliced");
+  save_rings(make_rings(8), file.path());
+  WireStreamReader stream(file.path());
+  WireReader copy = stream;
+  EXPECT_THROW(copy.u64(), Error);
+  EXPECT_NO_THROW(stream.u64());
+}
+
 // --- golden snapshot fixtures ----------------------------------------------
 //
 // Committed files under tests/data/ pin the on-disk format: today's reader
 // must load them with their content intact. The v2 files must also resave
 // to the committed bytes exactly, so any format change that breaks old
 // snapshots (or makes serialization non-canonical) fails here before it
-// ships. The v2 rings and directory fixtures are built from literals (no
-// RNG) so they can be regenerated deterministically on any platform:
+// ships. The v2 rings, directory and churn-bundle fixtures are built from
+// literals (no RNG); the v2 labeling, neighbor-system and oracle fixtures
+// hold LabelingFixture(kGoldenLabelingN), like their v1 counterparts. All
+// six are regenerated by
 //   RON_REGEN_GOLDEN=1 ./test_oracle --gtest_filter='Golden*'
 // The v1 files are frozen: nothing writes v1 any more. The v1 labeling,
 // neighbor-system and oracle fixtures hold LabelingFixture(kGoldenLabelingN),
@@ -859,6 +831,34 @@ void check_golden_labels(const DistanceLabeling& loaded,
   }
 }
 
+/// The recipe embedded in the v2 labeling, neighbor-system and oracle
+/// fixtures (all hold LabelingFixture(kGoldenLabelingN)).
+ScenarioSpec golden_labeling_spec_v2() {
+  return ScenarioSpec::parse("metric=euclid,n=8,seed=23");
+}
+
+/// The churn-bundle fixture's recipe: the v2 directory spec plus a churn
+/// clause, so the reserved churn keys of the spec encoding are pinned too.
+ScenarioSpec golden_churn_spec_v2() {
+  ScenarioSpec spec = golden_directory_spec_v2();
+  spec.churn_ops = 5;
+  spec.churn_seed = 11;
+  return spec;
+}
+
+/// A literal trace over golden_directory() (n = 10): every op kind, and a
+/// name the initial directory does not hold.
+ChurnTrace golden_trace() {
+  ChurnTrace trace;
+  trace.objects = {"alpha", "gamma"};
+  trace.ops = {{ChurnOpKind::kLeave, 5, kInvalidObject},
+               {ChurnOpKind::kPublish, 3, 0},
+               {ChurnOpKind::kJoin, 5, kInvalidObject},
+               {ChurnOpKind::kUnpublish, 3, 0},
+               {ChurnOpKind::kPublish, 2, 1}};
+  return trace;
+}
+
 /// Writes the v2 fixture files when RON_REGEN_GOLDEN is set (a maintenance
 /// mode, skipped in normal runs). The v1 files are never rewritten.
 bool maybe_regen_golden() {
@@ -867,6 +867,17 @@ bool maybe_regen_golden() {
              golden_rings_spec_v2());
   save_directory(golden_directory_spec_v2(), golden_directory(),
                  golden_path("golden_directory_v2.snapshot"));
+  const LabelingFixture fx(kGoldenLabelingN);
+  save_labeling(fx.dls, golden_path("golden_labeling_v2.snapshot"),
+                golden_labeling_spec_v2());
+  save_neighbor_system(fx.sys,
+                       golden_path("golden_neighbor_system_v2.snapshot"),
+                       golden_labeling_spec_v2());
+  save_oracle(golden_labeling_spec_v2(), "random-cube", fx.dls,
+              golden_path("golden_oracle_v2.snapshot"));
+  save_churn_bundle(golden_churn_spec_v2(), golden_directory(),
+                    golden_trace(),
+                    golden_path("golden_churn_bundle_v2.snapshot"));
   return true;
 }
 
@@ -983,6 +994,77 @@ TEST(GoldenSnapshot, DirectoryV2LoadsAndResavesBitIdentically) {
   save_directory(loaded.spec, loaded.directory, resaved.path());
   EXPECT_EQ(slurp(resaved.path()), slurp(path))
       << "serialization is no longer canonical for the v2 directory fixture";
+}
+
+TEST(GoldenSnapshot, LabelingV2LoadsAndResavesBitIdentically) {
+  if (maybe_regen_golden()) GTEST_SKIP() << "regenerated fixtures";
+  const LabelingFixture fx(kGoldenLabelingN);
+  const std::string path = golden_path("golden_labeling_v2.snapshot");
+  ScenarioSpec spec;
+  SnapshotInfo info;
+  const DistanceLabeling loaded = load_labeling(path, &spec, &info);
+  EXPECT_EQ(info.version, kSnapshotVersion);
+  EXPECT_EQ(spec, golden_labeling_spec_v2());
+  check_golden_labels(loaded, fx.dls);
+  TempFile resaved("golden_labeling_v2");
+  save_labeling(loaded, resaved.path(), spec);
+  EXPECT_EQ(slurp(resaved.path()), slurp(path))
+      << "serialization is no longer canonical for the v2 labeling fixture";
+}
+
+TEST(GoldenSnapshot, NeighborSystemV2LoadsAndResavesBitIdentically) {
+  // Only a NeighborSystem can be saved, not the NeighborSystemSnapshot a
+  // load returns, so the resave comes from the fixture the file was
+  // written from.
+  if (maybe_regen_golden()) GTEST_SKIP() << "regenerated fixtures";
+  const LabelingFixture fx(kGoldenLabelingN);
+  const std::string path = golden_path("golden_neighbor_system_v2.snapshot");
+  ScenarioSpec spec;
+  SnapshotInfo info;
+  const NeighborSystemSnapshot loaded =
+      load_neighbor_system(path, &spec, &info);
+  EXPECT_EQ(info.version, kSnapshotVersion);
+  EXPECT_EQ(spec, golden_labeling_spec_v2());
+  expect_same_neighbor_system(loaded, fx.sys);
+  TempFile resaved("golden_nsys_v2");
+  save_neighbor_system(fx.sys, resaved.path(), spec);
+  EXPECT_EQ(slurp(resaved.path()), slurp(path))
+      << "serialization is no longer canonical for the v2 neighbor system "
+         "fixture";
+}
+
+TEST(GoldenSnapshot, OracleV2LoadsAndResavesBitIdentically) {
+  if (maybe_regen_golden()) GTEST_SKIP() << "regenerated fixtures";
+  const LabelingFixture fx(kGoldenLabelingN);
+  const std::string path = golden_path("golden_oracle_v2.snapshot");
+  SnapshotInfo info;
+  const LoadedOracle loaded = load_oracle(path, &info);
+  EXPECT_EQ(info.version, kSnapshotVersion);
+  EXPECT_EQ(loaded.spec, golden_labeling_spec_v2());
+  EXPECT_EQ(loaded.metric_name, "random-cube");
+  check_golden_labels(loaded.labeling, fx.dls);
+  TempFile resaved("golden_oracle_v2");
+  save_oracle(loaded.spec, loaded.metric_name, loaded.labeling,
+              resaved.path());
+  EXPECT_EQ(slurp(resaved.path()), slurp(path))
+      << "serialization is no longer canonical for the v2 oracle fixture";
+}
+
+TEST(GoldenSnapshot, ChurnBundleV2LoadsAndResavesBitIdentically) {
+  if (maybe_regen_golden()) GTEST_SKIP() << "regenerated fixtures";
+  const std::string path = golden_path("golden_churn_bundle_v2.snapshot");
+  SnapshotInfo info;
+  const LoadedChurnBundle loaded = load_churn_bundle(path, &info);
+  EXPECT_EQ(info.version, kSnapshotVersion);
+  EXPECT_EQ(loaded.spec, golden_churn_spec_v2());
+  check_golden_directory(loaded.initial);
+  EXPECT_EQ(loaded.trace, golden_trace());
+  TempFile resaved("golden_churn_v2");
+  save_churn_bundle(loaded.spec, loaded.initial, loaded.trace,
+                    resaved.path());
+  EXPECT_EQ(slurp(resaved.path()), slurp(path))
+      << "serialization is no longer canonical for the v2 churn bundle "
+         "fixture";
 }
 
 // --- engine ----------------------------------------------------------------

@@ -1,19 +1,24 @@
 // The served.* shard: the wire protocol's encode/decode/reassembly layer
 // plus real loopback round trips against a Server running in a background
 // thread — multi-client serving, the malformed/truncated/oversized frame
-// matrix (error frame or dropped client, never a dead daemon), disconnects
-// mid-frame, and churn-admin epoch swaps under concurrent locate traffic.
+// matrix and seeded frame mutations (typed reply or dropped client, never a
+// dead daemon), disconnects mid-frame, and churn-admin epoch swaps under
+// concurrent locate traffic.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <functional>
+#include <optional>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "churn/churn_trace.h"
 #include "common/check.h"
+#include "common/rng.h"
 #include "location/location_service.h"
 #include "oracle/snapshot.h"
 #include "scenario/metric_registry.h"
@@ -24,6 +29,8 @@
 #include "served/protocol.h"
 #include "served/served_state.h"
 #include "served/server.h"
+
+#include "fuzz_mutate.h"
 
 namespace ron {
 namespace {
@@ -251,6 +258,103 @@ TEST(ServedProtocol, DecodersRejectMalformedBodies) {
   }
 }
 
+// --- frame fuzzing ------------------------------------------------------------
+//
+// The snapshot fuzzer's seeded mutations (fuzz_mutate.h), applied to one
+// valid payload of every frame kind: decoding a mutated frame must end in
+// a value or ron::Error, and a live server must answer every mutated
+// request with a typed frame (or close the connection) and keep serving.
+
+/// One valid payload of a frame kind, plus the decoder its receiver runs.
+struct FrameTarget {
+  const char* name;
+  std::vector<std::uint8_t> payload;
+  std::function<void(WireReader&)> decode;
+};
+
+void decode_empty_body(WireReader& body) { body.expect_done(); }
+
+/// One payload per request kind; ids and objects fit kSpecText (n = 96)
+/// and write_directory_snapshot's 8 objects.
+std::vector<FrameTarget> request_targets() {
+  ChurnTrace trace;
+  trace.objects = {"obj0", "fresh"};
+  trace.ops = {{ChurnOpKind::kPublish, 4, 1},
+               {ChurnOpKind::kLeave, 7, kInvalidObject},
+               {ChurnOpKind::kJoin, 7, kInvalidObject},
+               {ChurnOpKind::kUnpublish, 4, 1}};
+  return {
+      {"ping", encode_ping(1), decode_empty_body},
+      {"estimate",
+       encode_estimate_request(2, std::vector<QueryPair>{{0, 5}, {95, 3}}),
+       [](WireReader& b) { decode_estimate_request(b, 1 << 16); }},
+      {"locate",
+       encode_locate_request(3, std::vector<LocateQuery>{{0, 1}, {17, 7}}),
+       [](WireReader& b) { decode_locate_request(b, 1 << 16); }},
+      {"stats", encode_stats_request(4, false),
+       [](WireReader& b) { decode_stats_request(b); }},
+      {"churn", encode_churn_request(5, trace),
+       [](WireReader& b) { decode_churn_request(b, 96); }},
+      {"info", encode_info_request(6), decode_empty_body},
+      {"shutdown", encode_shutdown_request(7), decode_empty_body},
+  };
+}
+
+std::vector<FrameTarget> response_targets() {
+  ServedLocate found;
+  found.result.found = true;
+  found.result.holder = 9;
+  found.result.hops = 3;
+  found.result.nearest_dist = 1.5;
+  found.result.route_stretch = 1.25;
+  ServedLocate drained;
+  drained.status = LocateStatus::kZeroHolders;
+  const InfoResult info{96, true, true, 8, 4, 31};
+  return {
+      {"pong", encode_pong(1), decode_empty_body},
+      {"estimate-result",
+       encode_estimate_result(2, std::vector<Dist>{0.0, 1.5, 2.25}),
+       [](WireReader& b) { decode_estimate_result(b); }},
+      {"locate-result",
+       encode_locate_result(3, std::vector<ServedLocate>{found, drained}),
+       [](WireReader& b) { decode_locate_result(b); }},
+      {"stats-result",
+       encode_stats_result(4, "{\"schema\":\"ron.metrics.v1\"}"),
+       [](WireReader& b) { decode_stats_result(b); }},
+      {"churn-result", encode_churn_result(5, ChurnResult{10, 3, 90}),
+       [](WireReader& b) { decode_churn_result(b); }},
+      {"info-result", encode_info_result(6, info),
+       [](WireReader& b) { decode_info_result(b); }},
+      {"shutdown-ack", encode_shutdown_ack(7), decode_empty_body},
+      {"error", encode_error(8, ErrorCode::kBadRequest, "node 97 out of range"),
+       [](WireReader& b) { decode_error(b); }},
+  };
+}
+
+TEST(ServedProtocol, FrameMutationsDecodeOrThrowRonError) {
+  std::vector<FrameTarget> targets = request_targets();
+  for (FrameTarget& t : response_targets()) targets.push_back(std::move(t));
+  for (const FrameTarget& t : targets) {
+    FrameView clean = parse_frame(t.payload);
+    ASSERT_NO_THROW(t.decode(clean.body)) << t.name;
+    Rng rng(20261018);
+    std::size_t failures = 0;
+    for (std::size_t i = 0; i < 1000 && failures <= 5; ++i) {
+      const std::vector<std::uint8_t> bytes = mutate(t.payload, rng);
+      try {
+        FrameView f = parse_frame(bytes);
+        t.decode(f.body);
+      } catch (const Error&) {
+        // a decoded value or ron::Error: both are fine
+      } catch (const std::exception& e) {
+        ++failures;
+        ADD_FAILURE() << t.name << " mutation " << i
+                      << " threw non-ron::Error: " << e.what();
+      }
+    }
+  }
+}
+
 // --- loopback serving -------------------------------------------------------
 
 TEST(Server, AnswersPingInfoAndStats) {
@@ -386,6 +490,126 @@ TEST(Server, MalformedFramesGetErrorFramesAndConnectionSurvives) {
     const auto [code, message] = decode_error(f.body);
     EXPECT_EQ(code, c.expect) << c.name << ": " << message;
     cli.ping();  // the connection survived the insult
+  }
+}
+
+/// What a server must answer to a (possibly mutated) request payload:
+/// kError, or the result type of the request kind it parses as, echoing
+/// the request id only when the version byte is one the server speaks.
+struct ExpectedReply {
+  bool shutdown = false;  // a well-formed kShutdown: would stop the server
+  std::optional<MsgType> result;  // unset: only kError is acceptable
+  std::uint64_t request_id = 0;
+};
+
+ExpectedReply expected_reply(const std::vector<std::uint8_t>& payload) {
+  ExpectedReply want;
+  FrameView f{0, MsgType::kPing, 0,
+              WireReader(std::span<const std::uint8_t>())};
+  try {
+    f = parse_frame(payload);
+  } catch (const Error&) {
+    return want;  // shorter than the header: kError, id 0
+  }
+  if (f.version != kServedProtocolVersion) return want;
+  want.request_id = f.request_id;
+  const auto type = static_cast<std::uint8_t>(f.type);
+  if (type < static_cast<std::uint8_t>(MsgType::kPing) ||
+      type > static_cast<std::uint8_t>(MsgType::kShutdown)) {
+    return want;
+  }
+  want.shutdown = f.type == MsgType::kShutdown && f.body.done();
+  want.result = static_cast<MsgType>(type + 64);
+  return want;
+}
+
+/// Decodes a reply body by its type; throws ron::Error if it is malformed.
+void decode_reply(FrameView& f) {
+  switch (f.type) {
+    case MsgType::kPong: f.body.expect_done(); break;
+    case MsgType::kEstimateResult: decode_estimate_result(f.body); break;
+    case MsgType::kLocateResult: decode_locate_result(f.body); break;
+    case MsgType::kStatsResult: decode_stats_result(f.body); break;
+    case MsgType::kChurnResult: decode_churn_result(f.body); break;
+    case MsgType::kInfoResult: decode_info_result(f.body); break;
+    case MsgType::kError: decode_error(f.body); break;
+    default:
+      throw Error("reply of unexpected type " +
+                  std::to_string(static_cast<unsigned>(f.type)));
+  }
+}
+
+/// Sends `payload` and waits for one reply, at most 10 s: a request the
+/// server swallows fails the test instead of hanging it. nullopt means the
+/// server closed the connection.
+std::optional<std::vector<std::uint8_t>> round_trip(
+    Client& cli, const std::vector<std::uint8_t>& payload) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  std::vector<std::uint8_t> reply;
+  try {
+    cli.send_frame(payload);
+    while (!cli.poll_frame(reply)) {
+      if (std::chrono::steady_clock::now() > deadline) {
+        throw std::runtime_error("no reply within 10 s");
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(20));
+    }
+  } catch (const Error&) {
+    return std::nullopt;
+  }
+  return reply;
+}
+
+TEST(Server, MutatedFramesGetTypedRepliesAndDaemonSurvives) {
+  // Over an estimate snapshot and over a directory snapshot, so the
+  // mutations reach the labeling engine and the locate/churn paths alike.
+  constexpr std::size_t kMutationsPerKind = 200;
+  TempFile oracle_snap("fuzz_oracle");
+  write_estimate_snapshot(oracle_snap.path());
+  TempFile directory_snap("fuzz_directory");
+  write_directory_snapshot(directory_snap.path());
+  for (const std::string& path : {oracle_snap.path(), directory_snap.path()}) {
+    ServerHarness harness(path);
+    std::optional<Client> cli(harness.connect());
+    Rng rng(20261018);
+    std::size_t sent = 0;
+    std::size_t closed = 0;
+    for (const FrameTarget& t : request_targets()) {
+      for (std::size_t i = 0; i < kMutationsPerKind; ++i) {
+        const std::vector<std::uint8_t> bytes = mutate(t.payload, rng);
+        const ExpectedReply want = expected_reply(bytes);
+        if (want.shutdown) continue;
+        ++sent;
+        const std::optional<std::vector<std::uint8_t>> reply =
+            round_trip(*cli, bytes);
+        if (!reply) {
+          // A clean close is an acceptable answer; carry on over a new
+          // connection.
+          ++closed;
+          cli.emplace(harness.connect());
+          continue;
+        }
+        try {
+          FrameView f = parse_frame(*reply);
+          ASSERT_EQ(f.version, kServedProtocolVersion) << t.name << " " << i;
+          EXPECT_EQ(f.request_id, want.request_id) << t.name << " " << i;
+          if (f.type != MsgType::kError) {
+            ASSERT_TRUE(want.result.has_value() && f.type == *want.result)
+                << t.name << " mutation " << i << " got a "
+                << to_string(f.type) << " reply";
+          }
+          decode_reply(f);
+        } catch (const Error& e) {
+          ADD_FAILURE() << t.name << " mutation " << i
+                        << ": reply does not decode: " << e.what();
+        }
+      }
+    }
+    EXPECT_GT(sent, 0u);
+    EXPECT_LT(closed, sent) << "every mutated frame closed the connection";
+    Client fresh = harness.connect();
+    EXPECT_NO_THROW(fresh.ping()) << "daemon died serving " << path;
   }
 }
 

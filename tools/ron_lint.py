@@ -3,11 +3,15 @@
 
 Seven rules, each load-bearing for this repo specifically:
 
-  raw-bytes      Snapshot code must not hand-roll byte access: no memcpy/
-                 memmove/reinterpret_cast anywhere in src/oracle/ outside
-                 wire.h/wire.cpp. Every snapshot byte crosses the
-                 bounds-checked WireReader/WireWriter (or the stream helpers
-                 next to them) so a corrupt length can never become UB.
+  raw-bytes      Code that encodes wire bytes must not hand-roll byte
+                 access: no memcpy/memmove/reinterpret_cast in src/oracle/,
+                 src/served/, src/churn/, src/scenario/ or src/sim/ outside
+                 src/oracle/wire.{h,cpp}. Every snapshot and frame byte
+                 crosses the one bounds-checked WireReader/WireWriter codec
+                 (a file only changes where the bytes come from or go to),
+                 so a corrupt length can never become UB. The socket
+                 address casts and the sim's name hash carry per-line
+                 waivers.
 
   determinism    No wall-clock or ambient randomness in src/: rand()/srand(),
                  std::random_device, system_clock, time()/clock()/localtime/
@@ -82,7 +86,10 @@ ALLOW_RE = re.compile(r"ron-lint:\s*allow\(([a-z-]+)\)")
 
 RAW_BYTES_RE = re.compile(
     r"\bmemcpy\s*\(|\bmemmove\s*\(|\breinterpret_cast\b")
-RAW_BYTES_EXEMPT = {"wire.h", "wire.cpp"}
+RAW_BYTES_DIRS = ("src/oracle", "src/served", "src/churn", "src/scenario",
+                  "src/sim")
+RAW_BYTES_EXEMPT = {os.path.join("src", "oracle", "wire.h"),
+                    os.path.join("src", "oracle", "wire.cpp")}
 
 DETERMINISM_PATTERNS = [
     (re.compile(r"\brand\s*\("), "rand()"),
@@ -237,17 +244,17 @@ def cxx_files(*roots: str):
 
 
 def check_raw_bytes(findings: list):
-    for path in cxx_files("src/oracle"):
-        if os.path.basename(path) in RAW_BYTES_EXEMPT:
+    for path in cxx_files(*RAW_BYTES_DIRS):
+        if os.path.relpath(path, REPO_ROOT) in RAW_BYTES_EXEMPT:
             continue
         for lineno, code, raw in iter_code_lines(path):
             m = RAW_BYTES_RE.search(code)
             if m and not allowed(raw, "raw-bytes"):
                 findings.append(Finding(
                     path, lineno, "raw-bytes",
-                    f"'{m.group(0).strip()}' in snapshot code — route bytes "
-                    "through wire.h's bounds-checked reader/writer/stream "
-                    "helpers"))
+                    f"'{m.group(0).strip()}' in wire-encoding code — route "
+                    "bytes through wire.h's bounds-checked WireReader/"
+                    "WireWriter"))
 
 
 def check_determinism(findings: list):
