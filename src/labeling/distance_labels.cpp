@@ -10,34 +10,18 @@ namespace ron {
 
 namespace {
 
-/// Sorted-range lookup: z such that (x, y, z) is a triple of `zeta`, or
-/// UINT32_MAX ("null") if absent.
+/// UINT32_MAX: "no such psi index" in psi_of, and one past the largest
+/// host count or level size that u32 row offsets can index.
 constexpr std::uint32_t kNull = 0xffffffffu;
 
-std::uint32_t zeta_lookup(const std::vector<DlsTriple>& zeta, std::uint32_t x,
-                          std::uint32_t y) {
+/// The entry of `row` with the given y, or nullptr if absent.
+const DlsZetaEntry* row_find(std::span<const DlsZetaEntry> row,
+                             std::uint32_t y) {
   auto it = std::lower_bound(
-      zeta.begin(), zeta.end(), std::make_pair(x, y),
-      [](const DlsTriple& t, const std::pair<std::uint32_t, std::uint32_t>& k) {
-        return t.x != k.first ? t.x < k.first : t.y < k.second;
-      });
-  if (it == zeta.end() || it->x != x || it->y != y) return kNull;
-  return it->z;
-}
-
-/// All triples of `zeta` with first coordinate x (a contiguous run).
-std::pair<std::size_t, std::size_t> zeta_row(const std::vector<DlsTriple>& zeta,
-                                             std::uint32_t x) {
-  auto lo = std::lower_bound(zeta.begin(), zeta.end(), x,
-                             [](const DlsTriple& t, std::uint32_t xx) {
-                               return t.x < xx;
-                             });
-  auto hi = std::upper_bound(zeta.begin(), zeta.end(), x,
-                             [](std::uint32_t xx, const DlsTriple& t) {
-                               return xx < t.x;
-                             });
-  return {static_cast<std::size_t>(lo - zeta.begin()),
-          static_cast<std::size_t>(hi - zeta.begin())};
+      row.begin(), row.end(), y,
+      [](const DlsZetaEntry& e, std::uint32_t yy) { return e.y < yy; });
+  if (it == row.end() || it->y != y) return nullptr;
+  return &*it;
 }
 
 /// Walks b's zooming chain through both labels, joining zeta rows at every
@@ -58,17 +42,17 @@ std::size_t walk_chain(const DlsLabel& a, const DlsLabel& b, Dist& upper) {
     if (j >= levels || j >= a.zeta.size() || j >= b.zeta.size()) break;
     // Join the two zeta rows on y: every shared y identifies a node that is
     // a virtual neighbor of f_{b,j} and an N(j+1)-neighbor of both ends.
-    auto [alo, ahi] = zeta_row(a.zeta[j], ia);
-    auto [blo, bhi] = zeta_row(b.zeta[j], ib);
-    std::size_t p = alo, q = blo;
-    while (p < ahi && q < bhi) {
-      if (a.zeta[j][p].y < b.zeta[j][q].y) {
+    const std::span<const DlsZetaEntry> ra = a.zeta[j].row(ia);
+    const std::span<const DlsZetaEntry> rb = b.zeta[j].row(ib);
+    std::size_t p = 0, q = 0;
+    while (p < ra.size() && q < rb.size()) {
+      if (ra[p].y < rb[q].y) {
         ++p;
-      } else if (a.zeta[j][p].y > b.zeta[j][q].y) {
+      } else if (ra[p].y > rb[q].y) {
         ++q;
       } else {
-        const std::uint32_t za = a.zeta[j][p].z;
-        const std::uint32_t zb = b.zeta[j][q].z;
+        const std::uint32_t za = ra[p].z;
+        const std::uint32_t zb = rb[q].z;
         RON_CHECK(za < a.host_dist.size() && zb < b.host_dist.size(),
                   "za=" << za << "/" << a.host_dist.size() << ", zb=" << zb
                         << "/" << b.host_dist.size());
@@ -78,13 +62,14 @@ std::size_t walk_chain(const DlsLabel& a, const DlsLabel& b, Dist& upper) {
         ++q;
       }
     }
-    // Advance the chain: f_{b,j+1} is given as a psi-index into T_{f_{b,j}}.
+    // Advance the chain: f_{b,j+1} is given as a psi-index into T_{f_{b,j}},
+    // the y of its entry in the rows just joined.
     const std::uint32_t y = b.zoom[j];
-    const std::uint32_t na = zeta_lookup(a.zeta[j], ia, y);
-    const std::uint32_t nb = zeta_lookup(b.zeta[j], ib, y);
-    if (na == kNull || nb == kNull) break;
-    ia = na;
-    ib = nb;
+    const DlsZetaEntry* na = row_find(ra, y);
+    const DlsZetaEntry* nb = row_find(rb, y);
+    if (na == nullptr || nb == nullptr) break;
+    ia = na->z;
+    ib = nb->z;
   }
   return candidates;
 }
@@ -123,6 +108,7 @@ DistanceLabeling::DistanceLabeling(const NeighborSystem& sys)
   };
 
   labels_.resize(n);
+  std::vector<DlsTriple> triples;  // one level's zeta, reused
   for (NodeId u = 0; u < n; ++u) {
     DlsLabel& lab = labels_[u];
     lab.id = u;
@@ -144,9 +130,9 @@ DistanceLabeling::DistanceLabeling(const NeighborSystem& sys)
     }
 
     // Translation maps zeta_{u,i} for i in [0, levels-2].
-    lab.zeta.resize(levels > 1 ? levels - 1 : 0);
+    lab.zeta.reserve(levels > 1 ? levels - 1 : 0);
     for (int i = 0; i + 1 < levels; ++i) {
-      auto& zeta = lab.zeta[i];
+      triples.clear();
       for (NodeId v : N[i]) {
         auto tv = sys.virtual_set(v);
         // Intersect N(i+1) with T_v (both sorted).
@@ -158,20 +144,21 @@ DistanceLabeling::DistanceLabeling(const NeighborSystem& sys)
           } else if (next[p] > tv[q]) {
             ++q;
           } else {
-            zeta.push_back(DlsTriple{phi[u].at(v),
-                                     static_cast<std::uint32_t>(q),
-                                     phi[u].at(next[p])});
+            triples.push_back(DlsTriple{phi[u].at(v),
+                                        static_cast<std::uint32_t>(q),
+                                        phi[u].at(next[p])});
             ++p;
             ++q;
           }
         }
       }
-      std::sort(zeta.begin(), zeta.end(),
+      std::sort(triples.begin(), triples.end(),
                 [](const DlsTriple& a, const DlsTriple& b) {
                   if (a.x != b.x) return a.x < b.x;
                   if (a.y != b.y) return a.y < b.y;
                   return a.z < b.z;
                 });
+      lab.zeta.push_back(DlsZeta::from_triples(triples, hosts.size()));
     }
 
     // Zooming sequence encoding.
@@ -192,6 +179,34 @@ DistanceLabeling::DistanceLabeling(const NeighborSystem& sys)
   }
 }
 
+DlsZeta DlsZeta::from_triples(std::span<const DlsTriple> triples,
+                              std::size_t hosts) {
+  RON_CHECK(hosts >= 1 && hosts < kNull, "zeta: " << hosts << " hosts");
+  RON_CHECK(triples.size() < kNull,
+            "zeta: " << triples.size() << " triples overflow u32 offsets");
+  DlsZeta level;
+  level.row_begin_.assign(hosts + 1, 0);
+  level.entries_.reserve(triples.size());
+  std::uint32_t x = 0;  // rows [0, x] have their begin set
+  for (std::size_t k = 0; k < triples.size(); ++k) {
+    const DlsTriple& t = triples[k];
+    RON_CHECK(t.x < hosts && t.z < hosts,
+              "zeta: triple " << k << " (x=" << t.x << ", z=" << t.z
+                              << ") out of range (hosts=" << hosts << ")");
+    // The decoder finds a row by its offsets and a chain entry by binary
+    // search on y; an unsorted level would be silently wrong estimates.
+    RON_CHECK(t.x > x || (t.x == x && (k == 0 || triples[k - 1].y <= t.y)),
+              "zeta: triple " << k << " (x=" << t.x << ", y=" << t.y
+                              << ") not sorted by (x, y)");
+    while (x < t.x) level.row_begin_[++x] = static_cast<std::uint32_t>(k);
+    level.entries_.push_back(DlsZetaEntry{t.y, t.z});
+  }
+  while (x < hosts) {
+    level.row_begin_[++x] = static_cast<std::uint32_t>(triples.size());
+  }
+  return level;
+}
+
 DistanceLabeling DistanceLabeling::from_parts(DistanceCodec codec,
                                               std::uint64_t psi_bits,
                                               std::uint64_t id_bits,
@@ -207,18 +222,14 @@ DistanceLabeling DistanceLabeling::from_parts(DistanceCodec codec,
                                           << u);
     RON_CHECK(lab.zoom0 < lab.host_dist.size(),
               "from_parts: zoom0 out of range at " << u);
-    for (const auto& zeta : lab.zeta) {
-      for (const DlsTriple& t : zeta) {
-        RON_CHECK(t.x < lab.host_dist.size() && t.z < lab.host_dist.size(),
-                  "from_parts: zeta phi index out of range at " << u);
-      }
-      // zeta_lookup/zeta_row binary-search on (x, y); an unsorted level
-      // would be UB and silently wrong estimates, so reject it here.
-      RON_CHECK(std::is_sorted(zeta.begin(), zeta.end(),
-                               [](const DlsTriple& a, const DlsTriple& b) {
-                                 return a.x != b.x ? a.x < b.x : a.y < b.y;
-                               }),
-                "from_parts: zeta level not sorted by (x, y) at " << u);
+    for (const DlsZeta& zeta : lab.zeta) {
+      // walk_chain indexes a level's rows with phi indices it has checked
+      // against this label's host array, so the two must agree.
+      RON_CHECK(zeta.rows() == lab.host_dist.size(),
+                "from_parts: zeta level with " << zeta.rows()
+                                               << " rows for "
+                                               << lab.host_dist.size()
+                                               << " hosts at " << u);
     }
   }
   DistanceLabeling dls(codec);
@@ -253,7 +264,7 @@ std::uint64_t DistanceLabeling::label_bits(NodeId u) const {
       std::max<std::size_t>(lab.host_dist.size(), 2));
   std::uint64_t bits = id_bits_;
   bits += lab.host_dist.size() * codec_.bits();
-  for (const auto& zeta : lab.zeta) {
+  for (const DlsZeta& zeta : lab.zeta) {
     bits += zeta.size() * (2 * phi_bits + psi_bits_);
   }
   bits += phi_bits;                        // zoom0

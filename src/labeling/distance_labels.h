@@ -13,6 +13,14 @@
 //     f_{u,i+1} in the virtual enumeration of f_{u,i} (Claim 3.5(c));
 //   - the node's global id (the paper's "WLOG L_u contains ID(u)").
 //
+// In memory each zeta_{u,i} is row-indexed (DlsZeta): |H_u| + 1 u32 row
+// offsets indexed by x = phi_u(v), and one packed {y, z} array in (x, y)
+// order, so the decoder reaches row x with two loads whatever the level's
+// size. On the wire (snapshots and the simulator's priced messages) a
+// level is still its (x, y, z) triples in (x, y) order. The one way to
+// build a level is DlsZeta::from_triples, for the builder, the snapshot
+// loader and tests alike, and it validates what it is given.
+//
 // Decoding a pair (L_u, L_v) identifies common neighbors WITHOUT global ids:
 // it walks both zooming sequences, translating each chain element through
 // both labels' zeta maps, and at every level joins the two maps' rows to
@@ -25,13 +33,17 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
+#include "common/check.h"
 #include "common/distcode.h"
 #include "labeling/neighbor_system.h"
 
 namespace ron {
 
+/// One entry (x, y, z) of a translation map: zeta_{u,i}(x, y) = z. The wire
+/// form of a level, and the input of DlsZeta::from_triples.
 struct DlsTriple {
   std::uint32_t x;  // phi_u(v)
   std::uint32_t y;  // psi_v(w)
@@ -40,10 +52,55 @@ struct DlsTriple {
   friend bool operator==(const DlsTriple&, const DlsTriple&) = default;
 };
 
+/// The entries of one row of a DlsZeta (a fixed x), in increasing y.
+struct DlsZetaEntry {
+  std::uint32_t y;  // psi_v(w)
+  std::uint32_t z;  // phi_u(w)
+
+  friend bool operator==(const DlsZetaEntry&, const DlsZetaEntry&) = default;
+};
+
+/// One level zeta_{u,i} of a label's translation maps, row-indexed by
+/// x = phi_u(v): row x is the entries between offsets x and x + 1, sorted
+/// by y. Every level of a label has one row per host of that label, empty
+/// rows included.
+class DlsZeta {
+ public:
+  /// The only way to build a level. `triples` must be sorted by (x, y),
+  /// with every x and z below `hosts`; anything else throws ron::Error, so
+  /// a level reached from snapshot bytes is as well-formed as a built one.
+  /// Repeated (x, y) keys are accepted; the chain step takes the first.
+  static DlsZeta from_triples(std::span<const DlsTriple> triples,
+                              std::size_t hosts);
+
+  /// Number of rows: the host count of the label this level belongs to.
+  std::size_t rows() const {
+    return row_begin_.empty() ? 0 : row_begin_.size() - 1;
+  }
+  /// Number of entries (triples) in the level.
+  std::size_t size() const { return entries_.size(); }
+
+  /// Row x. Throws ron::Error when x >= rows().
+  std::span<const DlsZetaEntry> row(std::uint32_t x) const {
+    RON_CHECK(x < rows(), "zeta row " << x << " of " << rows());
+    return {entries_.data() + row_begin_[x],
+            entries_.data() + row_begin_[x + 1]};
+  }
+
+  friend bool operator==(const DlsZeta&, const DlsZeta&) = default;
+
+ private:
+  std::vector<std::uint32_t> row_begin_;  // rows() + 1 offsets
+  std::vector<DlsZetaEntry> entries_;     // every row, in (x, y) order
+};
+
+/// A node's label L_u. Its translation maps are row-indexed in memory
+/// (one DlsZeta per level); write_label in oracle/snapshot.h puts them on
+/// the wire as (x, y, z) triples in (x, y) order, row by row.
 struct DlsLabel {
   std::uint32_t id = 0;                       // ceil(log n)-bit node id
   std::vector<Dist> host_dist;                // indexed by phi_u, rounded up
-  std::vector<std::vector<DlsTriple>> zeta;   // per level i, sorted by (x,y)
+  std::vector<DlsZeta> zeta;                  // per level i, one row per host
   std::uint32_t zoom0 = 0;                    // phi(f_{u,0}), common level-0
   std::vector<std::uint32_t> zoom;            // psi-chain, length levels-1
 
@@ -62,7 +119,9 @@ class DistanceLabeling {
   /// Rebuilds a labeling from its serialized parts (snapshot loading). The
   /// labels are taken verbatim; `labels[u].id` must equal u (estimates are
   /// computed between labels, so a permuted load would silently answer for
-  /// the wrong pairs). Throws ron::Error on malformed parts.
+  /// the wrong pairs), and every zeta level must have one row per host of
+  /// its label (DlsZeta::from_triples has validated the rows themselves).
+  /// Throws ron::Error on malformed parts.
   static DistanceLabeling from_parts(DistanceCodec codec,
                                      std::uint64_t psi_bits,
                                      std::uint64_t id_bits,

@@ -77,6 +77,7 @@ void OracleEngine::init_metrics() {
   metrics_ = std::make_unique<MetricsRegistry>(workers_ + 1);
   MetricsRegistry& r = *metrics_;
   m_estimate_latency_ = &r.histogram("ron_engine_estimate_latency_seconds");
+  m_estimate_candidates_ = &r.histogram("ron_engine_estimate_candidates");
   m_locate_latency_ = &r.histogram("ron_engine_locate_latency_seconds");
   m_estimate_batch_seconds_ =
       &r.histogram("ron_engine_estimate_batch_seconds");
@@ -264,6 +265,9 @@ void OracleEngine::process_estimate_shard(unsigned w,
   // shard w is single-owner here (batch protocol), so the single-owner
   // merge/add fast paths apply.
   LocalHistogram latency;
+  // Common-neighbor candidates per real decode: like the locate probes,
+  // a cache hit decodes nothing, so only misses are recorded.
+  LocalHistogram candidates;
   std::uint64_t hits_n = 0;
   std::uint64_t misses_n = 0;
   std::uint64_t t0 = query_now_ns();
@@ -273,7 +277,10 @@ void OracleEngine::process_estimate_shard(unsigned w,
     Dist d;
     const bool hit = cache.enabled() && cache.get(key, d);
     if (!hit) {
-      d = DistanceLabeling::estimate(dls.label(u), dls.label(v)).upper;
+      const DlsEstimate est =
+          DistanceLabeling::estimate(dls.label(u), dls.label(v));
+      d = est.upper;
+      candidates.record(static_cast<double>(est.candidates));
       if (cache.enabled()) cache.put(key, d);
     }
     results[i] = d;
@@ -285,6 +292,7 @@ void OracleEngine::process_estimate_shard(unsigned w,
     t0 = t1;
   }
   m_estimate_latency_->merge_single_owner(w, latency.h);
+  m_estimate_candidates_->merge_single_owner(w, candidates.h);
   m_estimate_cache_hits_->add_single_owner(w, hits_n);
   m_estimate_cache_misses_->add_single_owner(w, misses_n);
 }

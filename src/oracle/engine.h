@@ -303,6 +303,7 @@ class OracleEngine {
   TraceSink* trace_sink_ = nullptr;
   std::unique_ptr<MetricsRegistry> metrics_;
   Histogram* m_estimate_latency_ = nullptr;
+  Histogram* m_estimate_candidates_ = nullptr;
   Histogram* m_locate_latency_ = nullptr;
   Histogram* m_estimate_batch_seconds_ = nullptr;
   Histogram* m_locate_batch_seconds_ = nullptr;

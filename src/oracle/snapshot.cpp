@@ -108,6 +108,10 @@ void write_labeling_payload(WireWriter& w, const DistanceLabeling& dls) {
   for (NodeId u = 0; u < dls.n(); ++u) write_label(w, dls.label(u));
 }
 
+// A loaded label carries fewer zeta levels than this (see
+// read_labeling_payload).
+constexpr std::uint64_t kMaxZetaLevels = 32;
+
 DistanceLabeling read_labeling_payload(WireReader& r) {
   const int mantissa_bits = u32_to_int(r.u32());
   const int exponent_bits = u32_to_int(r.u32());
@@ -122,6 +126,7 @@ DistanceLabeling read_labeling_payload(WireReader& r) {
   const std::uint64_t n = r.read_count(4 + 8 + 8 + 4 + 8, "label");
   RON_CHECK(n >= 1, "snapshot: labeling with zero nodes");
   std::vector<DlsLabel> labels(static_cast<std::size_t>(n));
+  std::vector<DlsTriple> triples;  // one level's zeta as it streams in
   for (std::uint64_t u = 0; u < n; ++u) {
     DlsLabel& lab = labels[static_cast<std::size_t>(u)];
     lab.id = r.u32();
@@ -132,17 +137,23 @@ DistanceLabeling read_labeling_payload(WireReader& r) {
       RON_CHECK(std::isfinite(d) && d >= 0.0,
                 "snapshot: host distance not finite/non-negative");
     }
+    // Each level holds hosts + 1 row offsets however few triples it has,
+    // so the level count is capped by structure, not only by the payload:
+    // n < 2^32 nodes give ceil(log2 n) - 1 < 32 levels.
     const std::uint64_t levels = r.read_count(sizeof(std::uint64_t), "zeta");
-    lab.zeta.resize(static_cast<std::size_t>(levels));
-    for (auto& zeta : lab.zeta) {
-      const std::uint64_t triples =
+    RON_CHECK(levels < kMaxZetaLevels,
+              "snapshot: " << levels << " zeta levels in label " << u);
+    lab.zeta.reserve(static_cast<std::size_t>(levels));
+    for (std::uint64_t i = 0; i < levels; ++i) {
+      const std::uint64_t count =
           r.read_count(3 * sizeof(std::uint32_t), "zeta triple");
-      zeta.resize(static_cast<std::size_t>(triples));
-      for (DlsTriple& t : zeta) {
+      triples.resize(static_cast<std::size_t>(count));
+      for (DlsTriple& t : triples) {
         t.x = r.u32();
         t.y = r.u32();
         t.z = r.u32();
       }
+      lab.zeta.push_back(DlsZeta::from_triples(triples, lab.host_dist.size()));
     }
     lab.zoom0 = r.u32();
     const std::uint64_t zooms =
@@ -150,7 +161,8 @@ DistanceLabeling read_labeling_payload(WireReader& r) {
     lab.zoom.resize(static_cast<std::size_t>(zooms));
     for (auto& y : lab.zoom) y = r.u32();
   }
-  // from_parts re-validates ids, zoom0 and zeta indices against host sizes.
+  // from_triples has validated each level's rows; from_parts checks ids,
+  // zoom0 and each level's row count against its label's host count.
   return DistanceLabeling::from_parts(codec, psi_bits, id_bits,
                                       std::move(labels));
 }
@@ -224,12 +236,15 @@ void write_label(WireWriter& w, const DlsLabel& label) {
   w.u64(label.host_dist.size());
   for (Dist d : label.host_dist) w.f64(d);
   w.u64(label.zeta.size());
-  for (const auto& zeta : label.zeta) {
+  for (const DlsZeta& zeta : label.zeta) {
+    // The wire keeps (x, y, z) triples in (x, y) order: row by row.
     w.u64(zeta.size());
-    for (const DlsTriple& t : zeta) {
-      w.u32(t.x);
-      w.u32(t.y);
-      w.u32(t.z);
+    for (std::uint32_t x = 0; x < zeta.rows(); ++x) {
+      for (const DlsZetaEntry& e : zeta.row(x)) {
+        w.u32(x);
+        w.u32(e.y);
+        w.u32(e.z);
+      }
     }
   }
   w.u32(label.zoom0);

@@ -31,7 +31,11 @@
 // ron::Error instead of corrupting the serving process.
 //
 // RingsOfNeighbors and DistanceLabeling load back as the live classes
-// (queries on the loaded object are bit-identical to the builder's).
+// (queries on the loaded object are bit-identical to the builder's). A
+// labeling's zeta levels stay (x, y, z) triples on disk; the loader builds
+// each level's rows in one pass as its triples stream in, through the same
+// validating DlsZeta::from_triples the builder uses, holding one level's
+// triples at a time and never a triple copy of the whole labeling.
 // NeighborSystem is a *builder* — it holds references to the ProximityIndex
 // and net machinery it was derived from — so it loads as
 // NeighborSystemSnapshot: the same read accessors over the materialized

@@ -130,7 +130,7 @@ void AtomicFile::commit() {
 // --- reader primitives ----------------------------------------------------
 
 void WireReader::fetch(std::size_t n, const char* what) {
-  RON_CHECK(n <= remaining(), "snapshot truncated reading "
+  RON_CHECK(n <= remaining(), "wire: truncated reading "
                                   << what << " (" << n << " bytes wanted, "
                                   << remaining() << " left)");
   refill();
@@ -143,7 +143,7 @@ void WireReader::refill() {
 
 std::string WireReader::str() {
   const std::uint64_t len = u64();
-  RON_CHECK(len <= remaining(), "snapshot truncated reading str body ("
+  RON_CHECK(len <= remaining(), "wire: truncated reading str body ("
                                     << len << " bytes wanted, " << remaining()
                                     << " left)");
   std::string s;

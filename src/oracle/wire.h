@@ -222,16 +222,15 @@ class WireReader {
     const std::uint64_t count = u64();
     RON_CHECK(min_elem_bytes == 0 ||
                   count <= remaining() / min_elem_bytes,
-              "snapshot: implausible " << what << " count " << count
-                                       << " (" << remaining()
-                                       << " bytes left)");
+              "wire: implausible " << what << " count " << count << " ("
+                                   << remaining() << " bytes left)");
     return count;
   }
 
   /// Loads must consume the payload exactly; trailing garbage is
   /// corruption. A stream reader also verifies its checksum here.
   void expect_done() const {
-    RON_CHECK(done(), "snapshot: " << remaining() << " trailing bytes");
+    RON_CHECK(done(), "wire: " << remaining() << " trailing bytes");
     check_consumed();
   }
 

@@ -28,6 +28,13 @@ struct Reject {
   std::string message;
 };
 
+/// The text an error frame may carry: a ron::Error's own message, never the
+/// check expression and source location its what() adds for logs.
+std::string client_message(const std::exception& e) {
+  const auto* err = dynamic_cast<const Error*>(&e);
+  return err != nullptr ? err->message() : std::string(e.what());
+}
+
 /// Reassembly-buffer cap: beyond roughly two maximal frames of unprocessed
 /// input we stop draining the socket and let TCP flow control push back on
 /// the sender (the kernel buffer, not the server heap, absorbs the burst).
@@ -368,7 +375,7 @@ void Server::handle_payload(Conn& c,
     f = parse_frame(payload);
   } catch (const Error& e) {
     m_protocol_errors_->add(0);
-    queue(c, encode_error(0, ErrorCode::kMalformed, e.what()));
+    queue(c, encode_error(0, ErrorCode::kMalformed, e.message()));
     return;
   }
 
@@ -428,13 +435,13 @@ void Server::handle_payload(Conn& c,
       }
     } catch (const BatchLimitError& e) {
       m_protocol_errors_->add(0);
-      resp = encode_error(f.request_id, ErrorCode::kTooLarge, e.what());
+      resp = encode_error(f.request_id, ErrorCode::kTooLarge, e.message());
     } catch (const Reject& r) {
       resp = encode_error(f.request_id, r.code, r.message);
     } catch (const Error& e) {
       // Body decode failure: truncated, garbled or trailing bytes.
       m_protocol_errors_->add(0);
-      resp = encode_error(f.request_id, ErrorCode::kMalformed, e.what());
+      resp = encode_error(f.request_id, ErrorCode::kMalformed, e.message());
     } catch (const std::exception& e) {
       resp = encode_error(f.request_id, ErrorCode::kServer, e.what());
     }
@@ -464,7 +471,7 @@ std::vector<std::uint8_t> Server::serve_estimate(const FrameView& f) {
   try {
     dists = state_.engine->estimate_batch(pairs);
   } catch (const std::exception& e) {
-    throw Reject{ErrorCode::kServer, e.what()};
+    throw Reject{ErrorCode::kServer, client_message(e)};
   }
   return encode_estimate_result(f.request_id, dists);
 }
@@ -514,7 +521,7 @@ std::vector<std::uint8_t> Server::serve_locate(const FrameView& f) {
     try {
       results = state_.engine->locate_batch(servable);
     } catch (const std::exception& e) {
-      throw Reject{ErrorCode::kServer, e.what()};
+      throw Reject{ErrorCode::kServer, client_message(e)};
     }
     for (std::size_t j = 0; j < results.size(); ++j) {
       out[slot[j]] = ServedLocate{LocateStatus::kOk, results[j]};
@@ -538,7 +545,7 @@ std::vector<std::uint8_t> Server::serve_churn(const FrameView& f) {
     // commit. The serving epoch only ever advances on success.
     state_.mutator->apply(trace);
   } catch (const Error& e) {
-    throw Reject{ErrorCode::kBadRequest, e.what()};
+    throw Reject{ErrorCode::kBadRequest, e.message()};
   }
   std::shared_ptr<const LocationEpoch> epoch = state_.mutator->commit();
   const std::uint64_t epoch_id = epoch->id;

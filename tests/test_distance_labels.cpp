@@ -2,10 +2,17 @@
 // label-only decoder must sandwich the true distance on every pair, the
 // zooming/translation machinery must be self-consistent, and label sizes
 // must follow the O_{alpha,delta}(log n)(log log Delta) shape on the
-// geometric line (the regime the theorem targets).
+// geometric line (the regime the theorem targets). The row-indexed decoder
+// is checked against the binary-search decoder over sorted triples it
+// replaced, kept below as a reference.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/check.h"
 #include "labeling/distance_labels.h"
@@ -14,6 +21,7 @@
 #include "metric/euclidean.h"
 #include "metric/line_metrics.h"
 #include "metric/proximity.h"
+#include "oracle/snapshot.h"
 
 namespace ron {
 namespace {
@@ -102,7 +110,7 @@ TEST(DistanceLabeling, QuantizedDistancesAreRoundedUp) {
 }
 
 TEST(DistanceLabeling, ZetaTriplesAreConsistent) {
-  // Every triple (x, y, z) of zeta_{u,i} must satisfy the definition:
+  // Every entry (x, y, z) of zeta_{u,i} (row x) must satisfy the definition:
   // x = phi_u(v) for some v in N(i), y = psi_v(w), z = phi_u(w), and the
   // distances stored at x and z match d(u,v), d(u,w) up to rounding.
   auto metric = random_cube_metric(48, 2, 29);
@@ -112,15 +120,17 @@ TEST(DistanceLabeling, ZetaTriplesAreConsistent) {
   for (NodeId u = 0; u < prox.n(); u += 11) {
     auto hosts = sys.host_set(u);
     const auto& lab = dls.label(u);
-    for (std::size_t i = 0; i < lab.zeta.size(); ++i) {
-      for (const auto& t : lab.zeta[i]) {
-        ASSERT_LT(t.x, hosts.size());
-        ASSERT_LT(t.z, hosts.size());
-        const NodeId v = hosts[t.x];
-        const NodeId w = hosts[t.z];
-        auto tv = sys.virtual_set(v);
-        ASSERT_LT(t.y, tv.size());
-        EXPECT_EQ(tv[t.y], w) << "psi mismatch";
+    for (const DlsZeta& zeta : lab.zeta) {
+      ASSERT_EQ(zeta.rows(), hosts.size());
+      for (std::uint32_t x = 0; x < zeta.rows(); ++x) {
+        for (const DlsZetaEntry& e : zeta.row(x)) {
+          ASSERT_LT(e.z, hosts.size());
+          const NodeId v = hosts[x];
+          const NodeId w = hosts[e.z];
+          auto tv = sys.virtual_set(v);
+          ASSERT_LT(e.y, tv.size());
+          EXPECT_EQ(tv[e.y], w) << "psi mismatch";
+        }
       }
     }
   }
@@ -162,6 +172,228 @@ TEST(DistanceLabeling, LineLabelsGrowSlowly) {
   }
   // Quadrupling n (and Delta^2!) should much less than quadruple the label.
   EXPECT_LT(avg_bits[2], 3.0 * avg_bits[0]);
+}
+
+// --- the row-indexed level --------------------------------------------------
+
+TEST(DistanceLabeling, ZetaRowsFollowTheTriples) {
+  // Rows are indexed by x, empty rows included; y may drop at a row
+  // boundary, and ties within a row load as they always did.
+  const std::vector<DlsTriple> triples = {
+      {0, 5, 1}, {0, 7, 0}, {2, 1, 3}, {2, 1, 2}, {3, 0, 0}};
+  const DlsZeta zeta = DlsZeta::from_triples(triples, 5);
+  EXPECT_EQ(zeta.rows(), 5u);
+  EXPECT_EQ(zeta.size(), triples.size());
+  using Row = std::vector<DlsZetaEntry>;
+  auto row = [&](std::uint32_t x) {
+    auto r = zeta.row(x);
+    return Row(r.begin(), r.end());
+  };
+  EXPECT_EQ(row(0), (Row{{5, 1}, {7, 0}}));
+  EXPECT_EQ(row(1), Row{});
+  EXPECT_EQ(row(2), (Row{{1, 3}, {1, 2}}));
+  EXPECT_EQ(row(3), (Row{{0, 0}}));
+  EXPECT_EQ(row(4), Row{});
+  EXPECT_THROW(zeta.row(5), Error);
+  EXPECT_EQ(DlsZeta::from_triples({}, 3).rows(), 3u);
+}
+
+TEST(DistanceLabeling, ZetaRejectsDecreasingX) {
+  const std::vector<DlsTriple> triples = {{0, 0, 0}, {2, 0, 1}, {1, 1, 1}};
+  EXPECT_THROW(DlsZeta::from_triples(triples, 3), Error);
+}
+
+TEST(DistanceLabeling, ZetaRejectsDecreasingYWithinARow) {
+  const std::vector<DlsTriple> triples = {{0, 0, 0}, {1, 2, 1}, {1, 1, 2}};
+  EXPECT_THROW(DlsZeta::from_triples(triples, 3), Error);
+}
+
+TEST(DistanceLabeling, ZetaRejectsIndicesAtOrAboveHosts) {
+  const std::vector<DlsTriple> big_x = {{0, 0, 0}, {3, 0, 1}};
+  EXPECT_THROW(DlsZeta::from_triples(big_x, 3), Error);
+  const std::vector<DlsTriple> big_z = {{0, 0, 3}};
+  EXPECT_THROW(DlsZeta::from_triples(big_z, 3), Error);
+  EXPECT_THROW(DlsZeta::from_triples({}, 0), Error);
+}
+
+// --- reference decoder --------------------------------------------------------
+//
+// The decoder over (x, y)-sorted triple vectors that the row-indexed layout
+// replaced: two binary searches to find a row, one more per chain step. It
+// lives only here, as the reference the library decoder must match bit for
+// bit, and it reads triples recomputed from the NeighborSystem by the
+// definition, so the library's builder and level factory are checked too.
+
+constexpr std::uint32_t kRefNull = 0xffffffffu;
+
+using RefZeta = std::vector<std::vector<DlsTriple>>;  // per level, sorted
+
+std::uint32_t ref_lookup(const std::vector<DlsTriple>& zeta, std::uint32_t x,
+                         std::uint32_t y) {
+  auto it = std::lower_bound(
+      zeta.begin(), zeta.end(), std::make_pair(x, y),
+      [](const DlsTriple& t, const std::pair<std::uint32_t, std::uint32_t>& k) {
+        return t.x != k.first ? t.x < k.first : t.y < k.second;
+      });
+  if (it == zeta.end() || it->x != x || it->y != y) return kRefNull;
+  return it->z;
+}
+
+std::pair<std::size_t, std::size_t> ref_row(const std::vector<DlsTriple>& zeta,
+                                            std::uint32_t x) {
+  auto lo = std::lower_bound(
+      zeta.begin(), zeta.end(), x,
+      [](const DlsTriple& t, std::uint32_t xx) { return t.x < xx; });
+  auto hi = std::upper_bound(
+      zeta.begin(), zeta.end(), x,
+      [](std::uint32_t xx, const DlsTriple& t) { return xx < t.x; });
+  return {static_cast<std::size_t>(lo - zeta.begin()),
+          static_cast<std::size_t>(hi - zeta.begin())};
+}
+
+std::size_t ref_walk(const DlsLabel& a, const RefZeta& az, const DlsLabel& b,
+                     const RefZeta& bz, Dist& upper) {
+  std::size_t candidates = 0;
+  std::uint32_t ia = b.zoom0;
+  std::uint32_t ib = b.zoom0;
+  const std::size_t levels = b.zoom.size();
+  for (std::size_t j = 0;; ++j) {
+    EXPECT_TRUE(ia < a.host_dist.size() && ib < b.host_dist.size());
+    upper = std::min(upper, a.host_dist[ia] + b.host_dist[ib]);
+    ++candidates;
+    if (j >= levels || j >= az.size() || j >= bz.size()) break;
+    auto [alo, ahi] = ref_row(az[j], ia);
+    auto [blo, bhi] = ref_row(bz[j], ib);
+    std::size_t p = alo, q = blo;
+    while (p < ahi && q < bhi) {
+      if (az[j][p].y < bz[j][q].y) {
+        ++p;
+      } else if (az[j][p].y > bz[j][q].y) {
+        ++q;
+      } else {
+        upper = std::min(upper, a.host_dist[az[j][p].z] +
+                                    b.host_dist[bz[j][q].z]);
+        ++candidates;
+        ++p;
+        ++q;
+      }
+    }
+    const std::uint32_t na = ref_lookup(az[j], ia, b.zoom[j]);
+    const std::uint32_t nb = ref_lookup(bz[j], ib, b.zoom[j]);
+    if (na == kRefNull || nb == kRefNull) break;
+    ia = na;
+    ib = nb;
+  }
+  return candidates;
+}
+
+DlsEstimate ref_estimate(const DlsLabel& a, const RefZeta& az,
+                         const DlsLabel& b, const RefZeta& bz) {
+  DlsEstimate out;
+  if (a.id == b.id) {
+    out.upper = 0.0;
+    out.candidates = 1;
+    return out;
+  }
+  out.candidates += ref_walk(a, az, b, bz, out.upper);
+  out.candidates += ref_walk(b, bz, a, az, out.upper);
+  return out;
+}
+
+/// zeta_{u,i} by the definition: (phi_u(v), psi_v(w), phi_u(w)) for v in
+/// N(i) and w in N(i+1) ∩ T_v, sorted by (x, y, z).
+RefZeta ref_zeta(const NeighborSystem& sys, NodeId u) {
+  const auto hosts = sys.host_set(u);
+  auto phi = [&](NodeId w) {
+    const auto it = std::find(hosts.begin(), hosts.end(), w);
+    EXPECT_NE(it, hosts.end());
+    return static_cast<std::uint32_t>(it - hosts.begin());
+  };
+  const int levels = sys.num_levels();
+  std::vector<std::vector<NodeId>> N(levels);
+  for (int i = 0; i < levels; ++i) {
+    for (NodeId v : sys.X(u, i)) N[i].push_back(v);
+    for (NodeId v : sys.Y(u, i)) N[i].push_back(v);
+    std::sort(N[i].begin(), N[i].end());
+    N[i].erase(std::unique(N[i].begin(), N[i].end()), N[i].end());
+  }
+  RefZeta zeta(levels > 1 ? levels - 1 : 0);
+  for (int i = 0; i + 1 < levels; ++i) {
+    for (NodeId v : N[i]) {
+      const auto tv = sys.virtual_set(v);
+      for (std::uint32_t q = 0; q < tv.size(); ++q) {
+        if (std::binary_search(N[i + 1].begin(), N[i + 1].end(), tv[q])) {
+          zeta[i].push_back(DlsTriple{phi(v), q, phi(tv[q])});
+        }
+      }
+    }
+    std::sort(zeta[i].begin(), zeta[i].end(),
+              [](const DlsTriple& a, const DlsTriple& b) {
+                if (a.x != b.x) return a.x < b.x;
+                if (a.y != b.y) return a.y < b.y;
+                return a.z < b.z;
+              });
+  }
+  return zeta;
+}
+
+/// A label's levels flattened back to (x, y, z) triples, row by row.
+RefZeta flatten(const DlsLabel& lab) {
+  RefZeta out;
+  for (const DlsZeta& zeta : lab.zeta) {
+    auto& level = out.emplace_back();
+    for (std::uint32_t x = 0; x < zeta.rows(); ++x) {
+      for (const DlsZetaEntry& e : zeta.row(x)) {
+        level.push_back(DlsTriple{x, e.y, e.z});
+      }
+    }
+  }
+  return out;
+}
+
+void expect_decode_equals_reference(const MetricSpace& metric) {
+  DenseProximityIndex prox(metric);
+  NeighborSystem sys(prox, 0.25);
+  const DistanceLabeling built(sys);
+  const std::string path = std::string(::testing::TempDir()) +
+                           "ron_dls_reference_" + std::to_string(prox.n()) +
+                           ".snapshot";
+  save_labeling(built, path);
+  const DistanceLabeling loaded = load_labeling(path);
+  std::remove(path.c_str());
+
+  std::vector<RefZeta> ref(prox.n());
+  for (NodeId u = 0; u < prox.n(); ++u) {
+    ref[u] = ref_zeta(sys, u);
+    ASSERT_EQ(flatten(built.label(u)), ref[u]) << "built label " << u;
+    ASSERT_EQ(flatten(loaded.label(u)), ref[u]) << "loaded label " << u;
+  }
+  std::size_t candidates = 0;
+  for (const DistanceLabeling* dls : {&built, &loaded}) {
+    for (NodeId u = 0; u < prox.n(); ++u) {
+      for (NodeId v = 0; v < prox.n(); ++v) {
+        const DlsEstimate want =
+            ref_estimate(dls->label(u), ref[u], dls->label(v), ref[v]);
+        const DlsEstimate got =
+            DistanceLabeling::estimate(dls->label(u), dls->label(v));
+        ASSERT_EQ(got.upper, want.upper) << "(" << u << "," << v << ")";
+        ASSERT_EQ(got.candidates, want.candidates)
+            << "(" << u << "," << v << ")";
+        candidates += got.candidates;
+      }
+    }
+  }
+  // The joins did real work: more than the two chains' own elements.
+  EXPECT_GT(candidates, 2 * 2 * prox.n() * prox.n());
+}
+
+TEST(DistanceLabeling, RowIndexedDecodeEqualsReference) {
+  expect_decode_equals_reference(random_cube_metric(48, 2, 41));
+  expect_decode_equals_reference(GeometricLineMetric(40, 2.0));
+  ClusteredParams p;
+  p.clusters = 5;
+  p.per_cluster = 10;
+  expect_decode_equals_reference(clustered_metric(p, 19));
 }
 
 }  // namespace

@@ -722,6 +722,118 @@ TEST(SnapshotCorruption, RaisedNeighborSystemCountsRejectedBeforeReserve) {
   }
 }
 
+/// A two-label labeling saved to `path` whose label 0 carries one zeta
+/// level of three triples over three hosts, (0,1,2) (1,0,1) (1,2,0).
+/// Returns the file's bytes and the offset of that level's first triple.
+std::pair<std::vector<char>, std::size_t> save_tiny_labeling(
+    const std::string& path) {
+  const std::vector<DlsTriple> level = {{0, 1, 2}, {1, 0, 1}, {1, 2, 0}};
+  std::vector<DlsLabel> labels(2);
+  for (std::uint32_t u = 0; u < 2; ++u) {
+    labels[u].id = u;
+    labels[u].host_dist = {1.0, 2.0, 3.0};
+    labels[u].zoom0 = 0;
+  }
+  labels[0].zeta = {DlsZeta::from_triples(level, 3)};
+  save_labeling(DistanceLabeling::from_parts(DistanceCodec(1.0, 10.0, 0.1),
+                                             2, 1, std::move(labels)),
+                path);
+  std::vector<char> bytes = slurp(path);
+  WireWriter pattern;  // the level as the wire carries it
+  pattern.u64(level.size());
+  for (const DlsTriple& t : level) {
+    pattern.u32(t.x);
+    pattern.u32(t.y);
+    pattern.u32(t.z);
+  }
+  const auto at = std::search(bytes.begin(), bytes.end(),
+                              pattern.bytes().begin(), pattern.bytes().end());
+  EXPECT_NE(at, bytes.end());
+  if (at == bytes.end()) return {bytes, bytes.size()};
+  return {bytes, static_cast<std::size_t>(at - bytes.begin()) + 8};
+}
+
+/// Overwrites field `field` (0 x, 1 y, 2 z) of triple `k` with `value`,
+/// restamps the checksum so only the parser stands in the way, and expects
+/// the load to fail in the zeta level factory.
+void expect_patched_zeta_rejected(std::size_t k, std::size_t field,
+                                  std::uint32_t value) {
+  // One file per case: ctest runs the cases as concurrent processes.
+  TempFile file("zeta_patch_" + std::to_string(k) + "_" +
+                std::to_string(field) + "_" + std::to_string(value));
+  auto [bytes, triples_at] = save_tiny_labeling(file.path());
+  const std::size_t at = triples_at + 12 * k + 4 * field;
+  ASSERT_LE(at + 4, bytes.size());
+  for (std::size_t i = 0; i < 4; ++i) {
+    bytes[at + i] = static_cast<char>(value >> (8 * i));
+  }
+  restamp_checksum(bytes);
+  dump(file.path(), bytes);
+  try {
+    load_labeling(file.path());
+    ADD_FAILURE() << "patched zeta loaded";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("zeta: triple "), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(SnapshotCorruption, ZetaTinyLabelingLoadsUnpatched) {
+  // The control for the three cases below: the same file, checksum
+  // restamped but bytes untouched, loads and decodes.
+  TempFile file("zeta_control");
+  auto [bytes, triples_at] = save_tiny_labeling(file.path());
+  restamp_checksum(bytes);
+  dump(file.path(), bytes);
+  const DistanceLabeling dls = load_labeling(file.path());
+  EXPECT_EQ(dls.label(0).zeta.at(0).row(1).size(), 2u);
+  EXPECT_EQ(DistanceLabeling::estimate(dls.label(0), dls.label(1)).upper,
+            2.0);
+}
+
+TEST(SnapshotCorruption, ZetaDecreasingXRejected) {
+  expect_patched_zeta_rejected(2, 0, 0);  // x: 0, 1, 0
+}
+
+TEST(SnapshotCorruption, ZetaDecreasingYWithinARowRejected) {
+  expect_patched_zeta_rejected(1, 1, 3);  // row 1: y 3, then 2
+}
+
+TEST(SnapshotCorruption, ZetaIndexAtOrAboveHostsRejected) {
+  expect_patched_zeta_rejected(2, 0, 3);  // x = hosts
+  expect_patched_zeta_rejected(0, 2, 3);  // z = hosts
+}
+
+TEST(SnapshotCorruption, ZetaLevelCountCapped) {
+  // Every level holds one row offset per host however few triples it has,
+  // so a raised level count is refused by structure (fewer than 32 levels
+  // for u32 node ids), not only by the bytes left to back it.
+  LabelingFixture fx;
+  TempFile file("zeta_levels");
+  save_labeling(fx.dls, file.path());
+  std::vector<char> bytes = slurp(file.path());
+  WireWriter spec_prefix;
+  write_spec(spec_prefix, ScenarioSpec{});
+  // codec (4 x u32 + f64), psi_bits, id_bits, n, then label 0's id.
+  const std::size_t hosts_at =
+      kSnapshotHeaderBytes + spec_prefix.size() + 24 + 3 * 8 + 4;
+  const std::size_t hosts = fx.dls.label(0).host_dist.size();
+  ASSERT_EQ(static_cast<unsigned char>(bytes[hosts_at]), hosts);
+  const std::size_t levels_at = hosts_at + 8 + 8 * hosts;
+  ASSERT_EQ(static_cast<unsigned char>(bytes[levels_at]),
+            fx.dls.label(0).zeta.size());
+  bytes[levels_at] = 32;
+  restamp_checksum(bytes);
+  dump(file.path(), bytes);
+  try {
+    load_labeling(file.path());
+    ADD_FAILURE() << "32 zeta levels loaded";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("32 zeta levels"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(SnapshotCorruption, MissingFileRejected) {
   EXPECT_THROW(load_labeling("/nonexistent/ron.snapshot"), Error);
 }
@@ -1235,8 +1347,14 @@ TEST_F(EngineTest, AutoWorkerCountFollowsTheAffinityMask) {
 }
 
 TEST(DistanceLabelingParts, UnsortedZetaRejected) {
-  // zeta_lookup binary-searches each level on (x, y); from_parts must
-  // reject an unsorted level instead of letting estimates go silently wrong.
+  // The decoder finds a row by its offsets and a chain entry by binary
+  // search on y; the level factory must reject triples out of (x, y) order
+  // instead of letting estimates go silently wrong, and from_parts must
+  // reject a level whose rows do not match its label's hosts.
+  const std::vector<DlsTriple> unsorted = {DlsTriple{1, 0, 0},
+                                           DlsTriple{0, 0, 1}};
+  EXPECT_THROW(DlsZeta::from_triples(unsorted, 2), Error);
+
   DistanceCodec codec(1.0, 10.0, 0.1);
   std::vector<DlsLabel> labels(2);
   for (std::uint32_t u = 0; u < 2; ++u) {
@@ -1244,7 +1362,9 @@ TEST(DistanceLabelingParts, UnsortedZetaRejected) {
     labels[u].host_dist = {1.0, 2.0};
     labels[u].zoom0 = 0;
   }
-  labels[0].zeta = {{DlsTriple{1, 0, 0}, DlsTriple{0, 0, 1}}};  // unsorted
+  const std::vector<DlsTriple> sorted = {DlsTriple{0, 0, 1},
+                                         DlsTriple{1, 0, 0}};
+  labels[0].zeta = {DlsZeta::from_triples(sorted, 3)};  // 3 rows, 2 hosts
   EXPECT_THROW(
       DistanceLabeling::from_parts(codec, 1, 1, std::move(labels)), Error);
 }

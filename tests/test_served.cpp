@@ -489,8 +489,41 @@ TEST(Server, MalformedFramesGetErrorFramesAndConnectionSurvives) {
     ASSERT_EQ(f.type, MsgType::kError) << c.name;
     const auto [code, message] = decode_error(f.body);
     EXPECT_EQ(code, c.expect) << c.name << ": " << message;
+    EXPECT_EQ(message.find("RON_CHECK"), std::string::npos)
+        << c.name << ": " << message;
     cli.ping();  // the connection survived the insult
   }
+}
+
+TEST(Server, ErrorFramesCarryTheMessageWithoutBuildContext) {
+  // A decode failure's kError frame names what was wrong with the request,
+  // but not the check expression, the daemon's source paths or lines, and
+  // not "snapshot": frames are wire errors.
+  TempFile snap("error_text");
+  write_estimate_snapshot(snap.path());
+  ServerHarness harness(snap.path());
+  Client cli = harness.connect();
+
+  WireWriter w;  // an estimate whose count promises 1000 pairs, carries one
+  w.u8(kServedProtocolVersion);
+  w.u8(static_cast<std::uint8_t>(MsgType::kEstimate));
+  w.u64(7);
+  w.u64(1000);
+  w.u32(0);
+  w.u32(1);
+  cli.send_frame(w.bytes());
+  const std::vector<std::uint8_t> reply = cli.recv_frame();
+  FrameView f = parse_frame(reply);
+  ASSERT_EQ(f.type, MsgType::kError);
+  EXPECT_EQ(f.request_id, 7u);
+  const auto [code, message] = decode_error(f.body);
+  EXPECT_EQ(code, ErrorCode::kMalformed);
+  EXPECT_NE(message.find("1000"), std::string::npos) << message;
+  for (const char* leak : {"RON_CHECK", ".h:", ".cpp:", "snapshot"}) {
+    EXPECT_EQ(message.find(leak), std::string::npos)
+        << "error frame leaks '" << leak << "': " << message;
+  }
+  cli.ping();
 }
 
 /// What a server must answer to a (possibly mutated) request payload:

@@ -39,6 +39,7 @@ run_ok(check_out ${PYTHON_EXE} ${CHECKER} ${WORK_DIR}/telemetry_m.json
   --require ron_engine_locate_latency_seconds
   --require ron_engine_estimate_cache_hits_total
   --require ron_engine_estimate_cache_misses_total
+  --require ron_engine_estimate_candidates
   --require ron_engine_locate_cache_hits_total
   --require ron_engine_locate_cache_misses_total
   --require ron_engine_epoch_mu_hold_seconds
