@@ -1,9 +1,14 @@
 // Micro-benchmarks (google-benchmark): per-query costs — DLS decoding,
-// triangulation estimates, routing steps, small-world hops.
+// triangulation estimates, routing steps, small-world hops — and the load
+// of a labeling snapshot, the start-up cost of a served oracle.
 #include <benchmark/benchmark.h>
+#include <unistd.h>
 
 #include <cmath>
+#include <cstdio>
+#include <filesystem>
 #include <memory>
+#include <string>
 
 #include "graph/generators.h"
 #include "graph/graph_metric.h"
@@ -14,6 +19,7 @@
 #include "metric/proximity.h"
 #include "net/doubling_measure.h"
 #include "net/nets.h"
+#include "oracle/snapshot.h"
 #include "routing/basic_scheme.h"
 #include "smallworld/rings_model.h"
 
@@ -46,6 +52,23 @@ void BM_DlsEstimate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DlsEstimate);
+
+void BM_LabelingLoad(benchmark::State& state) {
+  static LabelFixture fx;
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("ron_bm_labeling_load." + std::to_string(::getpid()) + ".snapshot"))
+          .string();
+  save_labeling(fx.dls, path);
+  for (auto _ : state) {
+    const DistanceLabeling loaded = load_labeling(path);
+    benchmark::DoNotOptimize(loaded.n());
+  }
+  state.counters["snapshot_bytes"] =
+      static_cast<double>(std::filesystem::file_size(path));
+  std::remove(path.c_str());
+}
+BENCHMARK(BM_LabelingLoad)->Unit(benchmark::kMillisecond);
 
 void BM_TriangulationEstimate(benchmark::State& state) {
   static LabelFixture fx;

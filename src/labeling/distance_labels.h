@@ -17,9 +17,12 @@
 // offsets indexed by x = phi_u(v), and one packed {y, z} array in (x, y)
 // order, so the decoder reaches row x with two loads whatever the level's
 // size. On the wire (snapshots and the simulator's priced messages) a
-// level is still its (x, y, z) triples in (x, y) order. The one way to
-// build a level is DlsZeta::from_triples, for the builder, the snapshot
-// loader and tests alike, and it validates what it is given.
+// level travels as rows too: x is implicit in the row order, and each row
+// is its length, then each entry's y as the gap from the previous y and
+// its z, all varints (write_label in oracle/snapshot.h), about 2 bytes an
+// entry. The one way to build a level is DlsZeta::from_triples, for the
+// builder, the snapshot loader and tests alike, and it validates what it
+// is given.
 //
 // Decoding a pair (L_u, L_v) identifies common neighbors WITHOUT global ids:
 // it walks both zooming sequences, translating each chain element through
@@ -42,8 +45,9 @@
 
 namespace ron {
 
-/// One entry (x, y, z) of a translation map: zeta_{u,i}(x, y) = z. The wire
-/// form of a level, and the input of DlsZeta::from_triples.
+/// One entry (x, y, z) of a translation map: zeta_{u,i}(x, y) = z. The
+/// input of DlsZeta::from_triples; the snapshot loader expands wire rows
+/// (or a v1/v2 file's stored triples) into these.
 struct DlsTriple {
   std::uint32_t x;  // phi_u(v)
   std::uint32_t y;  // psi_v(w)
@@ -96,7 +100,7 @@ class DlsZeta {
 
 /// A node's label L_u. Its translation maps are row-indexed in memory
 /// (one DlsZeta per level); write_label in oracle/snapshot.h puts them on
-/// the wire as (x, y, z) triples in (x, y) order, row by row.
+/// the wire row by row, as varint row lengths, y gaps and z.
 struct DlsLabel {
   std::uint32_t id = 0;                       // ceil(log n)-bit node id
   std::vector<Dist> host_dist;                // indexed by phi_u, rounded up

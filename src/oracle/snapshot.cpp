@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstring>
 #include <fstream>
+#include <limits>
 
 #include "oracle/wire.h"
 
@@ -59,11 +60,12 @@ SnapshotInfo open_section_of_kind(const WireStreamReader& r,
   return info;
 }
 
-/// Payload prefix shared by every v2 section: the embedded scenario. v1
-/// sections have no prefix; the loader synthesizes an empty-family spec
-/// (kOracle/kObjectDirectory override it from their legacy metas).
+/// Payload prefix shared by every v2 and v3 section: the embedded
+/// scenario. v1 sections have no prefix; the loader synthesizes an
+/// empty-family spec (kOracle/kObjectDirectory override it from their
+/// legacy metas).
 ScenarioSpec read_spec_prefix(WireReader& r, std::uint32_t version) {
-  return version >= kSnapshotVersion ? read_spec(r) : ScenarioSpec{};
+  return version >= kSnapshotVersionV2 ? read_spec(r) : ScenarioSpec{};
 }
 
 void write_node_list(WireWriter& w, std::span<const NodeId> xs) {
@@ -112,7 +114,51 @@ void write_labeling_payload(WireWriter& w, const DistanceLabeling& dls) {
 // read_labeling_payload).
 constexpr std::uint64_t kMaxZetaLevels = 32;
 
-DistanceLabeling read_labeling_payload(WireReader& r) {
+/// One v1/v2 zeta level: a u64 count, then that many (x, y, z) u32
+/// triples in (x, y) order.
+void read_zeta_triples(WireReader& r, std::vector<DlsTriple>& triples) {
+  const std::uint64_t count =
+      r.read_count(3 * sizeof(std::uint32_t), "zeta triple");
+  triples.resize(static_cast<std::size_t>(count));
+  for (DlsTriple& t : triples) {
+    t.x = r.u32();
+    t.y = r.u32();
+    t.z = r.u32();
+  }
+}
+
+/// One v3 zeta level (see write_label), expanded to its (x, y, z) triples
+/// in (x, y) order for DlsZeta::from_triples.
+void read_zeta_rows(WireReader& r, std::size_t hosts,
+                    std::vector<DlsTriple>& triples) {
+  // An entry is at least a one-byte y gap and a one-byte z.
+  const std::uint64_t count = r.read_varint_count(2, "zeta entry");
+  triples.resize(static_cast<std::size_t>(count));
+  std::size_t k = 0;
+  for (std::size_t x = 0; x < hosts; ++x) {
+    const std::uint64_t len = r.varint();
+    RON_CHECK(len <= count - k, "snapshot: zeta rows run past the level's "
+                                    << count << " entries at row " << x);
+    std::uint64_t y = 0;
+    for (std::uint64_t e = 0; e < len; ++e) {
+      const std::uint64_t gap = r.varint();
+      RON_CHECK(gap <= std::numeric_limits<std::uint32_t>::max() - y,
+                "snapshot: zeta y past u32 in row " << x);
+      y += gap;
+      const std::uint64_t z = r.varint();
+      RON_CHECK(z < hosts, "snapshot: zeta z=" << z << " in row " << x
+                                               << " at or above " << hosts
+                                               << " hosts");
+      triples[k++] = DlsTriple{static_cast<std::uint32_t>(x),
+                               static_cast<std::uint32_t>(y),
+                               static_cast<std::uint32_t>(z)};
+    }
+  }
+  RON_CHECK(k == count, "snapshot: zeta rows hold " << k << " of the level's "
+                                                    << count << " entries");
+}
+
+DistanceLabeling read_labeling_payload(WireReader& r, std::uint32_t version) {
   const int mantissa_bits = u32_to_int(r.u32());
   const int exponent_bits = u32_to_int(r.u32());
   const int min_exp = u32_to_int(r.u32());
@@ -145,13 +191,10 @@ DistanceLabeling read_labeling_payload(WireReader& r) {
               "snapshot: " << levels << " zeta levels in label " << u);
     lab.zeta.reserve(static_cast<std::size_t>(levels));
     for (std::uint64_t i = 0; i < levels; ++i) {
-      const std::uint64_t count =
-          r.read_count(3 * sizeof(std::uint32_t), "zeta triple");
-      triples.resize(static_cast<std::size_t>(count));
-      for (DlsTriple& t : triples) {
-        t.x = r.u32();
-        t.y = r.u32();
-        t.z = r.u32();
+      if (version > kSnapshotVersionV2) {
+        read_zeta_rows(r, lab.host_dist.size(), triples);
+      } else {
+        read_zeta_triples(r, triples);
       }
       lab.zeta.push_back(DlsZeta::from_triples(triples, lab.host_dist.size()));
     }
@@ -237,13 +280,16 @@ void write_label(WireWriter& w, const DlsLabel& label) {
   for (Dist d : label.host_dist) w.f64(d);
   w.u64(label.zeta.size());
   for (const DlsZeta& zeta : label.zeta) {
-    // The wire keeps (x, y, z) triples in (x, y) order: row by row.
-    w.u64(zeta.size());
+    // The level layout is documented on write_label in snapshot.h.
+    w.varint(zeta.size());
     for (std::uint32_t x = 0; x < zeta.rows(); ++x) {
-      for (const DlsZetaEntry& e : zeta.row(x)) {
-        w.u32(x);
-        w.u32(e.y);
-        w.u32(e.z);
+      const std::span<const DlsZetaEntry> row = zeta.row(x);
+      w.varint(row.size());
+      std::uint32_t y = 0;
+      for (const DlsZetaEntry& e : row) {
+        w.varint(e.y - y);
+        w.varint(e.z);
+        y = e.y;
       }
     }
   }
@@ -449,7 +495,7 @@ DistanceLabeling load_labeling(const std::string& path, ScenarioSpec* spec,
   const SnapshotInfo local =
       open_section_of_kind(r, path, SnapshotKind::kDistanceLabeling);
   const ScenarioSpec embedded = read_spec_prefix(r, local.version);
-  DistanceLabeling dls = read_labeling_payload(r);
+  DistanceLabeling dls = read_labeling_payload(r, local.version);
   r.expect_done();
   check_spec_n(embedded, dls.n(), "labeling");
   if (info != nullptr) *info = local;
@@ -473,13 +519,13 @@ LoadedOracle load_oracle(const std::string& path, SnapshotInfo* info) {
   const SnapshotInfo local = open_section_of_kind(r, path, SnapshotKind::kOracle);
   ScenarioSpec spec;
   std::string metric_name;
-  if (local.version >= kSnapshotVersion) {
+  if (local.version >= kSnapshotVersionV2) {
     spec = read_spec(r);
     metric_name = r.str();
   } else {
     read_oracle_meta_v1(r, spec, metric_name);
   }
-  DistanceLabeling dls = read_labeling_payload(r);
+  DistanceLabeling dls = read_labeling_payload(r, local.version);
   r.expect_done();
   RON_CHECK(spec.n == dls.n(), "snapshot: oracle spec n "
                                    << spec.n << " != labeling n "
@@ -524,7 +570,7 @@ LoadedChurnBundle load_churn_bundle(const std::string& path,
   WireStreamReader r(path);
   const SnapshotInfo local =
       open_section_of_kind(r, path, SnapshotKind::kChurnBundle);
-  RON_CHECK(local.version >= kSnapshotVersion,
+  RON_CHECK(local.version >= kSnapshotVersionV2,
             "snapshot: churn bundle labeled v" << local.version);
   ScenarioSpec spec = read_spec(r);
   RON_CHECK(!spec.family.empty(),
@@ -544,7 +590,7 @@ LoadedDirectory load_directory(const std::string& path, SnapshotInfo* info) {
   WireStreamReader r(path);
   const SnapshotInfo local =
       open_section_of_kind(r, path, SnapshotKind::kObjectDirectory);
-  ScenarioSpec spec = local.version >= kSnapshotVersion
+  ScenarioSpec spec = local.version >= kSnapshotVersionV2
                           ? read_spec(r)
                           : read_directory_meta_v1(r);
   RON_CHECK(!spec.family.empty(),

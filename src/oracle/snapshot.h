@@ -14,13 +14,17 @@
 // and the payload helpers behind them are written once over the
 // WireWriter/WireReader primitives that served frames use too.
 //
-// Format version 2 (the only one saves write): every section kind embeds
+// Format version 3 (the only one saves write): every section kind embeds
 // the ScenarioSpec the artifact was built from as a payload prefix, so any
 // snapshot is a self-describing recipe — `ron_oracle info` prints the spec
 // back and `locate` rebuilds the exact metric and overlay from it. Version
-// 1 files (which carried either no recipe or the old OracleMeta/LocationMeta
-// structs) still load: the loaders synthesize an equivalent spec, and the
-// committed v1 golden fixtures pin that path.
+// 3 differs from version 2 only in how a distance label's translation maps
+// travel: as varint rows (see write_label), about 2 bytes an entry where
+// v2 stored 12-byte triples. Version 2 files still load through the triple
+// reader, and version 1 files (which carried either no recipe or the old
+// OracleMeta/LocationMeta structs) load too: the loaders synthesize an
+// equivalent spec. The committed v1 and v2 golden fixtures pin both paths;
+// the loader picks the label reader by the header's version.
 //
 // A load validates magic, version, kind and exact length before parsing.
 // The payload is parsed as it streams in, so the parser sees bytes before
@@ -31,9 +35,9 @@
 // ron::Error instead of corrupting the serving process.
 //
 // RingsOfNeighbors and DistanceLabeling load back as the live classes
-// (queries on the loaded object are bit-identical to the builder's). A
-// labeling's zeta levels stay (x, y, z) triples on disk; the loader builds
-// each level's rows in one pass as its triples stream in, through the same
+// (queries on the loaded object are bit-identical to the builder's). The
+// loader expands each zeta level's rows (v3) or triples (v1, v2) to
+// triples as they stream in and builds the level through the same
 // validating DlsZeta::from_triples the builder uses, holding one level's
 // triples at a time and never a triple copy of the whole labeling.
 // NeighborSystem is a *builder* — it holds references to the ProximityIndex
@@ -66,7 +70,7 @@ enum class SnapshotKind : std::uint32_t {
   kObjectDirectory = 5,  // object-location bundle: scenario + directory
   kChurnBundle = 6,      // dynamic bundle: scenario + initial directory +
                          // churn trace (replay reproduces the mutated
-                         // overlay bit-for-bit; v2-only)
+                         // overlay bit-for-bit; v2 and later)
 };
 
 /// Header fields of a snapshot file, validated (magic/version/length/
@@ -86,7 +90,7 @@ SnapshotInfo inspect_snapshot(const std::string& path);
 /// it cannot drift from the header layout the save path writes.
 std::uint32_t peek_snapshot_kind(const std::string& path);
 
-// Save functions write format version 2: `spec` is the scenario the
+// Save functions write format version 3: `spec` is the scenario the
 // artifact was built from and is embedded in the payload. When the spec
 // names a family, spec.n must match the artifact's node count.
 //
@@ -192,6 +196,16 @@ DistanceLabeling load_labeling(const std::string& path,
 /// labeling payload (kDistanceLabeling and kOracle sections). The
 /// simulator prices its estimate exchange with it, so a label costs the
 /// same bytes on the simulated wire as on disk.
+///
+///   u32 id, u64 host count, f64 per host distance, u64 level count,
+///   per level: varint entry count, then per host x in order: varint row
+///              length, per entry: varint y gap (from the row's previous
+///              y, the first from 0), varint z
+///   u32 zoom0, u64 zoom count, u32 per zoom entry
+///
+/// Only the levels differ from v1 and v2, which stored a u64 triple count
+/// and (x, y, z) u32 triples: x is now implicit in the row order, and most
+/// gaps and z fit a byte.
 void write_label(WireWriter& w, const DlsLabel& label);
 
 // --- Oracle serving bundle -------------------------------------------------
@@ -247,8 +261,9 @@ struct LoadedChurnBundle {
 };
 
 /// spec.family must be non-empty and spec.n must equal initial.n(). Churn
-/// bundles exist only in v2: the legacy format has no spec and therefore
-/// no replayable recipe, so the loader refuses a bundle labeled v1.
+/// bundles exist only from v2 on: the legacy format has no spec and
+/// therefore no replayable recipe, so the loader refuses a bundle labeled
+/// v1.
 void save_churn_bundle(const ScenarioSpec& spec,
                        const ObjectDirectory& initial,
                        const ChurnTrace& trace, const std::string& path);

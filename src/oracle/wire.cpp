@@ -61,7 +61,7 @@ std::uint64_t fnv1a64(std::span<const std::uint8_t> bytes) {
 namespace {
 
 /// The initial FNV state of a version's checksum domain (see
-/// kSnapshotVersion): v1 starts at the basis, v2 folds the header's
+/// kSnapshotVersion): v1 starts at the basis, v2 and v3 fold the header's
 /// version and kind fields in front of the payload.
 std::uint64_t checksum_seed(std::uint32_t version, std::uint32_t kind) {
   if (version == kSnapshotVersionV1) return kFnv1a64Basis;
@@ -134,6 +134,26 @@ void WireReader::fetch(std::size_t n, const char* what) {
                                   << what << " (" << n << " bytes wanted, "
                                   << remaining() << " left)");
   refill();
+}
+
+std::uint64_t WireReader::varint_long() {
+  std::uint64_t v = 0;
+  for (std::size_t i = 0;; ++i) {
+    need(1, "varint");
+    const std::uint8_t b = data_[pos_++];
+    if (i + 1 == kMaxVarintBytes) {
+      // The last byte carries bit 63 alone.
+      RON_CHECK(b < 0x80, "wire: varint longer than " << kMaxVarintBytes
+                                                      << " bytes");
+      RON_CHECK(b <= 1, "wire: varint past 64 bits");
+    }
+    v |= static_cast<std::uint64_t>(b & 0x7f) << (7 * i);
+    if (b < 0x80) {
+      RON_CHECK(b != 0 || i == 0,
+                "wire: varint of " << i + 1 << " bytes ends in a zero byte");
+      return v;
+    }
+  }
 }
 
 void WireReader::refill() {
@@ -219,11 +239,11 @@ WireStreamReader::WireStreamReader(const std::string& path)
   WireReader rd(std::span(hdr + sizeof(kSnapshotMagic),
                           kSnapshotHeaderBytes - sizeof(kSnapshotMagic)));
   header_.version = rd.u32();
-  RON_CHECK(header_.version == kSnapshotVersion ||
-                header_.version == kSnapshotVersionV1,
+  RON_CHECK(header_.version >= kSnapshotVersionV1 &&
+                header_.version <= kSnapshotVersion,
             "snapshot: " << path_ << " has format version "
                          << header_.version << ", this build reads "
-                         << kSnapshotVersionV1 << " and " << kSnapshotVersion);
+                         << kSnapshotVersionV1 << " to " << kSnapshotVersion);
   header_.kind = rd.u32();
   header_.payload_bytes = rd.u64();
   header_.checksum = rd.u64();

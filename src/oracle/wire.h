@@ -4,8 +4,8 @@
 // download, a bit-flipped disk block, a file of the wrong kind or a hostile
 // client has to surface as ron::Error, never as UB or an unbounded
 // allocation. WireWriter and WireReader are the only implementation of the
-// primitives (u8/u32/u64/f64/str, read_count, expect_done): every read
-// validates the remaining length first, and every count that sizes an
+// primitives (u8/u32/u64/f64/varint/str, read_count, expect_done): every
+// read validates the remaining length first, and every count that sizes an
 // allocation is validated against the bytes that could possibly back it
 // (see read_count). Memory or file is only where the bytes come from or go
 // to. A WireWriter builds a buffer in memory (a served frame);
@@ -15,9 +15,10 @@
 // file. The stream classes also own the snapshot container: every snapshot
 // is written and read through them.
 //
-// All integers are fixed-width little-endian; doubles travel as their IEEE
-// bit pattern (round trips are bit-identical, which the serving layer's
-// "save → load → estimate is bit-identical" invariant relies on).
+// Integers are fixed-width little-endian, except where a payload asks for
+// a varint (unsigned LEB128, see WireWriter::varint); doubles travel as
+// their IEEE bit pattern (round trips are bit-identical, which the serving
+// layer's "save → load → estimate is bit-identical" invariant relies on).
 #pragma once
 
 #include <bit>
@@ -85,17 +86,26 @@ class AtomicFile {
 
 /// Snapshot container framing, owned by the stream classes below:
 /// magic[8] + u32 version + u32 kind + u64 payload length + u64 checksum,
-/// then the payload. Saves write kSnapshotVersion; loads also accept
-/// kSnapshotVersionV1. The checksum domain depends on the version: v1
-/// covers the payload alone, v2 folds the header's version and kind fields
-/// in front of it, so a flip that relabels a v2 file (downgrades its
-/// version or swaps its kind) fails the checksum instead of reaching the
-/// wrong parser.
+/// then the payload. Saves write kSnapshotVersion; loads accept every
+/// version from kSnapshotVersionV1 to it. The versions:
+///   v1  payloads without an embedded scenario; the checksum covers the
+///       payload alone.
+///   v2  every payload starts with its ScenarioSpec, and the checksum
+///       folds the header's version and kind fields in front of the
+///       payload, so a flip that relabels a file (changes its version or
+///       kind) fails the checksum instead of reaching the wrong parser.
+///   v3  as v2, except that a distance label's translation maps travel
+///       as varint rows instead of u32 triples (see write_label in
+///       oracle/snapshot.h). Every other payload byte is as in v2.
 inline constexpr std::uint8_t kSnapshotMagic[8] = {'R', 'O', 'N', 'S',
                                                    'N', 'A', 'P', '\n'};
 inline constexpr std::size_t kSnapshotHeaderBytes = 8 + 4 + 4 + 8 + 8;
-inline constexpr std::uint32_t kSnapshotVersion = 2;
+inline constexpr std::uint32_t kSnapshotVersion = 3;
+inline constexpr std::uint32_t kSnapshotVersionV2 = 2;
 inline constexpr std::uint32_t kSnapshotVersionV1 = 1;
+
+/// The longest varint: ceil(64 / 7) bytes carry a u64.
+inline constexpr std::size_t kMaxVarintBytes = 10;
 
 /// The most payload a stream class holds in memory at once: a writer
 /// spills its buffer to disk at this size, and a reader's window holds at
@@ -106,7 +116,7 @@ inline constexpr std::size_t kStreamChunkBytes = 1 << 20;
 /// guards against accidental damage, not adversaries). The _continue form
 /// chains over multiple spans: fnv1a64(a+b) ==
 /// fnv1a64_continue(fnv1a64(a), b) — the container uses it to fold the
-/// header's version/kind fields into the v2 checksum domain without
+/// header's version/kind fields into the v2 and v3 checksum domain without
 /// materializing a concatenated buffer.
 inline constexpr std::uint64_t kFnv1a64Basis = 0xcbf29ce484222325ULL;
 std::uint64_t fnv1a64(std::span<const std::uint8_t> bytes);
@@ -124,6 +134,19 @@ class WireWriter {
   void u32(std::uint32_t v) { put_le(v); }
   void u64(std::uint64_t v) { put_le(v); }
   void f64(double v) { put_le(std::bit_cast<std::uint64_t>(v)); }
+
+  /// Unsigned LEB128: seven bits a byte, low group first, the high bit set
+  /// on every byte but the last. One byte below 128, at most
+  /// kMaxVarintBytes, and one encoding per value (no redundant zero final
+  /// byte), which WireReader::varint insists on.
+  void varint(std::uint64_t v) {
+    while (v >= 0x80) {
+      buf_.push_back(static_cast<std::uint8_t>(v | 0x80));
+      v >>= 7;
+    }
+    buf_.push_back(static_cast<std::uint8_t>(v));
+    spill_if_full();
+  }
 
   /// Length-prefixed (u64) byte string.
   void str(const std::string& s) {
@@ -213,18 +236,27 @@ class WireReader {
   std::uint64_t u64() { return get_le<std::uint64_t>("u64"); }
   double f64() { return std::bit_cast<double>(get_le<std::uint64_t>("f64")); }
 
+  /// A varint (see WireWriter::varint). Throws ron::Error on one cut off
+  /// by the end of the bytes, longer than kMaxVarintBytes, carrying bits
+  /// past 64, or ending in a redundant zero byte.
+  std::uint64_t varint() {
+    // One-byte values are the bulk of a label's bytes.
+    if (pos_ < data_.size() && data_[pos_] < 0x80) return data_[pos_++];
+    return varint_long();
+  }
+
   std::string str();
 
-  /// An element count that will size an allocation: rejected unless
+  /// An element count (u64) that will size an allocation: rejected unless
   /// count * min_elem_bytes still fits in the unread payload, so a corrupt
   /// header cannot request a multi-gigabyte reserve.
   std::uint64_t read_count(std::size_t min_elem_bytes, const char* what) {
-    const std::uint64_t count = u64();
-    RON_CHECK(min_elem_bytes == 0 ||
-                  count <= remaining() / min_elem_bytes,
-              "wire: implausible " << what << " count " << count << " ("
-                                   << remaining() << " bytes left)");
-    return count;
+    return checked_count(u64(), min_elem_bytes, what);
+  }
+  /// read_count for a count stored as a varint.
+  std::uint64_t read_varint_count(std::size_t min_elem_bytes,
+                                  const char* what) {
+    return checked_count(varint(), min_elem_bytes, what);
   }
 
   /// Loads must consume the payload exactly; trailing garbage is
@@ -255,6 +287,17 @@ class WireReader {
   }
   /// The slow path of need(): truncation check, then refill.
   void fetch(std::size_t n, const char* what);
+  /// The slow path of varint(): a byte at a time, refilling as needed.
+  std::uint64_t varint_long();
+
+  std::uint64_t checked_count(std::uint64_t count, std::size_t min_elem_bytes,
+                              const char* what) const {
+    RON_CHECK(min_elem_bytes == 0 ||
+                  count <= remaining() / min_elem_bytes,
+              "wire: implausible " << what << " count " << count << " ("
+                                   << remaining() << " bytes left)");
+    return count;
+  }
 
   template <typename T>
   T get_le(const char* what) {
@@ -272,7 +315,8 @@ class WireReader {
 /// WireReader whose window slides over the file, so loading a section
 /// holds one window (at most kStreamChunkBytes, sized to the payload when
 /// that is smaller) plus the data structure being built, never the whole
-/// payload. The constructor validates the magic, a known version and the
+/// payload. The constructor validates the magic, a known version (1 to
+/// kSnapshotVersion; the payload parsers branch on it) and the
 /// exact file length against the header's payload promise, and seeds the
 /// running checksum from that version's domain (the section kind is the
 /// caller's to check). The checksum is folded over each refill, so the

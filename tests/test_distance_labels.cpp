@@ -4,7 +4,8 @@
 // must follow the O_{alpha,delta}(log n)(log log Delta) shape on the
 // geometric line (the regime the theorem targets). The row-indexed decoder
 // is checked against the binary-search decoder over sorted triples it
-// replaced, kept below as a reference.
+// replaced, kept below as a reference, and a snapshot must carry the
+// labels in at most a quarter of the bytes of the triple form.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,6 +23,8 @@
 #include "metric/line_metrics.h"
 #include "metric/proximity.h"
 #include "oracle/snapshot.h"
+#include "oracle/wire.h"
+#include "scenario/scenario_spec.h"
 
 namespace ron {
 namespace {
@@ -394,6 +397,51 @@ TEST(DistanceLabeling, RowIndexedDecodeEqualsReference) {
   p.clusters = 5;
   p.per_cluster = 10;
   expect_decode_equals_reference(clustered_metric(p, 19));
+}
+
+// --- snapshot size ------------------------------------------------------------
+
+/// The bytes a labeling payload saved with an empty spec took in the v1/v2
+/// triple form: the fixed fields, a u64 count per zeta level and 12 bytes
+/// per (x, y, z) triple.
+std::uint64_t triple_form_bytes(const DistanceLabeling& dls) {
+  WireWriter spec;
+  write_spec(spec, ScenarioSpec{});
+  // codec (4 x u32 + f64), psi_bits, id_bits, n
+  std::uint64_t bytes = spec.size() + 4 * 4 + 8 + 3 * 8;
+  for (NodeId u = 0; u < dls.n(); ++u) {
+    const DlsLabel& lab = dls.label(u);
+    bytes += 4 + 8 + 8 * lab.host_dist.size() + 8;  // id, hosts, levels
+    for (const DlsZeta& zeta : lab.zeta) bytes += 8 + 12 * zeta.size();
+    bytes += 4 + 8 + 4 * lab.zoom.size();  // zoom0, zoom chain
+  }
+  return bytes;
+}
+
+void expect_quarter_of_the_triple_form(const MetricSpace& metric) {
+  DenseProximityIndex prox(metric);
+  NeighborSystem sys(prox, 0.25);
+  const DistanceLabeling dls(sys);
+  const std::string path = std::string(::testing::TempDir()) +
+                           "ron_dls_size_" + std::to_string(prox.n()) +
+                           ".snapshot";
+  save_labeling(dls, path);
+  const std::uint64_t payload = inspect_snapshot(path).payload_bytes;
+  std::remove(path.c_str());
+  const std::uint64_t triples = triple_form_bytes(dls);
+  EXPECT_LE(4 * payload, triples)
+      << "n=" << prox.n() << ": " << payload << " payload bytes against "
+      << triples << " in the triple form";
+}
+
+TEST(DistanceLabeling, SnapshotLabelsTakeAQuarterOfTheTripleForm) {
+  // The fixtures of RowIndexedDecodeEqualsReference, which reloads them.
+  expect_quarter_of_the_triple_form(random_cube_metric(48, 2, 41));
+  expect_quarter_of_the_triple_form(GeometricLineMetric(40, 2.0));
+  ClusteredParams p;
+  p.clusters = 5;
+  p.per_cluster = 10;
+  expect_quarter_of_the_triple_form(clustered_metric(p, 19));
 }
 
 }  // namespace

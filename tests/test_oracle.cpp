@@ -10,11 +10,14 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <functional>
+#include <iterator>
+#include <new>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -36,8 +39,59 @@
 
 #include "fuzz_mutate.h"
 
+// --- allocation probe ------------------------------------------------------
+//
+// A loader must not allocate more than the payload that could back it,
+// whatever bytes it is handed. Outside sanitizer builds, whose runtimes
+// provide operator new themselves, this binary's operator new records the
+// largest single request made while largest_allocation() runs.
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define RON_TEST_ALLOCATION_PROBE 0
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define RON_TEST_ALLOCATION_PROBE 0
+#endif
+#endif
+#ifndef RON_TEST_ALLOCATION_PROBE
+#define RON_TEST_ALLOCATION_PROBE 1
+#endif
+
+namespace {
+std::atomic<bool> g_probe_armed{false};
+std::atomic<std::size_t> g_probe_largest{0};
+}  // namespace
+
+#if RON_TEST_ALLOCATION_PROBE
+void* operator new(std::size_t size) {
+  if (g_probe_armed.load(std::memory_order_relaxed)) {
+    std::size_t seen = g_probe_largest.load(std::memory_order_relaxed);
+    while (size > seen && !g_probe_largest.compare_exchange_weak(
+                              seen, size, std::memory_order_relaxed)) {
+    }
+  }
+  // The library's operator delete releases with std::free.
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+#endif
+
 namespace ron {
 namespace {
+
+/// The largest single operator new request `fn` makes; 0 in sanitizer
+/// builds, where nothing records it.
+std::size_t largest_allocation(const std::function<void()>& fn) {
+  g_probe_largest.store(0);
+  g_probe_armed.store(true);
+  fn();
+  g_probe_armed.store(false);
+  return g_probe_largest.load();
+}
+
+/// An opened std::ifstream allocates its own buffer of this size, whatever
+/// the file's; allocation bounds are only checked on payloads above it.
+constexpr std::size_t kIoBufferBytes = 8192;
 
 /// Unique-ish temp path per test; removed on destruction.
 class TempFile {
@@ -94,6 +148,67 @@ TEST(Wire, ImplausibleCountThrows) {
   w.u64(1u << 20);  // promises a million elements, provides none
   WireReader r(w.bytes());
   EXPECT_THROW(r.read_count(4, "test element"), Error);
+}
+
+constexpr std::uint64_t kVarintEdges[] = {
+    0, 127, 128, 0xffffffffULL, 0xffffffffffffffffULL};
+constexpr std::size_t kVarintEdgeBytes[] = {1, 1, 2, 5, 10};
+
+TEST(Wire, VarintRoundTrips) {
+  WireWriter w;
+  for (std::size_t i = 0; i < std::size(kVarintEdges); ++i) {
+    const std::uint64_t before = w.size();
+    w.varint(kVarintEdges[i]);
+    EXPECT_EQ(w.size() - before, kVarintEdgeBytes[i]) << kVarintEdges[i];
+  }
+  WireReader r(w.bytes());
+  for (std::uint64_t v : kVarintEdges) EXPECT_EQ(r.varint(), v);
+  EXPECT_TRUE(r.done());
+
+  // Through a snapshot file, with the 10-byte varint straddling the end of
+  // the reader's first window, so its tail arrives by a refill.
+  TempFile file("varint_stream");
+  const std::size_t filler = kStreamChunkBytes - 3;
+  {
+    WireStreamWriter out(file.path(), 1);
+    for (std::size_t i = 0; i < filler; ++i) out.u8(0xa5);
+    for (std::size_t i = std::size(kVarintEdges); i-- > 0;) {
+      out.varint(kVarintEdges[i]);
+    }
+    out.finish();
+  }
+  WireStreamReader in(file.path());
+  for (std::size_t i = 0; i < filler; ++i) ASSERT_EQ(in.u8(), 0xa5);
+  for (std::size_t i = std::size(kVarintEdges); i-- > 0;) {
+    EXPECT_EQ(in.varint(), kVarintEdges[i]);
+  }
+  EXPECT_NO_THROW(in.expect_done());  // the checksum agrees too
+}
+
+/// Reads one varint from `bytes` and expects a ron::Error naming `want`.
+void expect_varint_rejected(const std::vector<std::uint8_t>& bytes,
+                            const std::string& want) {
+  WireReader r(bytes);
+  try {
+    r.varint();
+    ADD_FAILURE() << "malformed varint read (wanted '" << want << "')";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Wire, VarintRejectsMalformed) {
+  std::vector<std::uint8_t> eleven(10, 0x80);
+  eleven.push_back(0x01);
+  expect_varint_rejected(eleven, "varint longer than 10 bytes");
+  std::vector<std::uint8_t> past_64(9, 0xff);
+  past_64.push_back(0x02);  // the 10th byte may carry bit 63 alone
+  expect_varint_rejected(past_64, "varint past 64 bits");
+  expect_varint_rejected({0x80, 0x80}, "truncated reading varint");
+  // One encoding per value: 0 and 127 padded with a zero byte.
+  expect_varint_rejected({0x80, 0x00}, "ends in a zero byte");
+  expect_varint_rejected({0xff, 0x80, 0x00}, "ends in a zero byte");
 }
 
 TEST(Wire, StreamPrefixShortAtEofIsNotAnError) {
@@ -535,7 +650,7 @@ struct FuzzTarget {
 };
 
 std::vector<FuzzTarget> fuzz_targets(const LabelingFixture& fx) {
-  // Every target saves with a non-empty embedded spec (v2), so the fuzzer
+  // Every target saves with a non-empty embedded spec (v3), so the fuzzer
   // also mutates the spec prefix and its parser's validation paths.
   const ScenarioSpec spec24 =
       ScenarioSpec::parse("metric=geoline,n=24,seed=3,base=1.25");
@@ -638,27 +753,40 @@ TEST(SnapshotCorruption, UnsupportedVersionRejected) {
 }
 
 TEST(SnapshotCorruption, VersionDowngradeFlipRejected) {
-  // A v2 file whose version field is flipped to 1 must NOT load as a v1
-  // payload. The v1 parser may run over the v2 bytes, but the stored
-  // checksum was computed in the v2 domain, which includes the version
-  // field, so the load fails at the latest when the checksum is verified
-  // after the last byte. One target per kind.
+  // A v3 file whose version field is flipped to 2 or 1 must NOT load as
+  // an older payload. The older parser may run over the v3 bytes, but the
+  // stored checksum was computed in the v3 domain, which includes the
+  // version field, so the load fails at the latest when the checksum is
+  // verified after the last byte. One target per kind. A flip to 2 sends a
+  // labeling's compact rows to the triple reader, which must fail without
+  // an allocation larger than the payload.
   LabelingFixture fx;
-  const auto flip_version_to_v1 = [](const std::string& path) {
-    std::vector<char> bytes = slurp(path);
-    bytes[8] = 1;  // version field follows the 8-byte magic
-    dump(path, bytes);
-  };
   for (const FuzzTarget& target : fuzz_targets(fx)) {
-    TempFile file(std::string("downgrade_") + target.name);
-    target.save(file.path());
-    flip_version_to_v1(file.path());
-    EXPECT_THROW(target.load(file.path()), Error) << target.name;
+    for (const std::uint32_t version :
+         {kSnapshotVersionV2, kSnapshotVersionV1}) {
+      TempFile file("downgrade_" + std::to_string(version) + "_" +
+                    target.name);
+      target.save(file.path());
+      std::vector<char> bytes = slurp(file.path());
+      bytes[8] = static_cast<char>(version);  // follows the 8-byte magic
+      dump(file.path(), bytes);
+      const std::size_t payload = bytes.size() - kSnapshotHeaderBytes;
+      const std::size_t largest = largest_allocation([&] {
+        EXPECT_THROW(target.load(file.path()), Error)
+            << target.name << " flipped to v" << version;
+      });
+      if (version == kSnapshotVersionV2 && payload > kIoBufferBytes) {
+        EXPECT_LE(largest, payload) << target.name;
+        if (RON_TEST_ALLOCATION_PROBE) {
+          EXPECT_GT(largest, 0u) << target.name;
+        }
+      }
+    }
   }
 }
 
 TEST(SnapshotCorruption, KindRelabelFlipRejected) {
-  // Same idea for the kind field: relabeling a v2 rings file as a labeling
+  // Same idea for the kind field: relabeling a v3 rings file as a labeling
   // section fails the checksum even before the kind gate (in v1 the gate
   // alone had to catch it — and still does, see WrongKindRejected).
   TempFile file("kindflip");
@@ -722,118 +850,6 @@ TEST(SnapshotCorruption, RaisedNeighborSystemCountsRejectedBeforeReserve) {
   }
 }
 
-/// A two-label labeling saved to `path` whose label 0 carries one zeta
-/// level of three triples over three hosts, (0,1,2) (1,0,1) (1,2,0).
-/// Returns the file's bytes and the offset of that level's first triple.
-std::pair<std::vector<char>, std::size_t> save_tiny_labeling(
-    const std::string& path) {
-  const std::vector<DlsTriple> level = {{0, 1, 2}, {1, 0, 1}, {1, 2, 0}};
-  std::vector<DlsLabel> labels(2);
-  for (std::uint32_t u = 0; u < 2; ++u) {
-    labels[u].id = u;
-    labels[u].host_dist = {1.0, 2.0, 3.0};
-    labels[u].zoom0 = 0;
-  }
-  labels[0].zeta = {DlsZeta::from_triples(level, 3)};
-  save_labeling(DistanceLabeling::from_parts(DistanceCodec(1.0, 10.0, 0.1),
-                                             2, 1, std::move(labels)),
-                path);
-  std::vector<char> bytes = slurp(path);
-  WireWriter pattern;  // the level as the wire carries it
-  pattern.u64(level.size());
-  for (const DlsTriple& t : level) {
-    pattern.u32(t.x);
-    pattern.u32(t.y);
-    pattern.u32(t.z);
-  }
-  const auto at = std::search(bytes.begin(), bytes.end(),
-                              pattern.bytes().begin(), pattern.bytes().end());
-  EXPECT_NE(at, bytes.end());
-  if (at == bytes.end()) return {bytes, bytes.size()};
-  return {bytes, static_cast<std::size_t>(at - bytes.begin()) + 8};
-}
-
-/// Overwrites field `field` (0 x, 1 y, 2 z) of triple `k` with `value`,
-/// restamps the checksum so only the parser stands in the way, and expects
-/// the load to fail in the zeta level factory.
-void expect_patched_zeta_rejected(std::size_t k, std::size_t field,
-                                  std::uint32_t value) {
-  // One file per case: ctest runs the cases as concurrent processes.
-  TempFile file("zeta_patch_" + std::to_string(k) + "_" +
-                std::to_string(field) + "_" + std::to_string(value));
-  auto [bytes, triples_at] = save_tiny_labeling(file.path());
-  const std::size_t at = triples_at + 12 * k + 4 * field;
-  ASSERT_LE(at + 4, bytes.size());
-  for (std::size_t i = 0; i < 4; ++i) {
-    bytes[at + i] = static_cast<char>(value >> (8 * i));
-  }
-  restamp_checksum(bytes);
-  dump(file.path(), bytes);
-  try {
-    load_labeling(file.path());
-    ADD_FAILURE() << "patched zeta loaded";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("zeta: triple "), std::string::npos)
-        << e.what();
-  }
-}
-
-TEST(SnapshotCorruption, ZetaTinyLabelingLoadsUnpatched) {
-  // The control for the three cases below: the same file, checksum
-  // restamped but bytes untouched, loads and decodes.
-  TempFile file("zeta_control");
-  auto [bytes, triples_at] = save_tiny_labeling(file.path());
-  restamp_checksum(bytes);
-  dump(file.path(), bytes);
-  const DistanceLabeling dls = load_labeling(file.path());
-  EXPECT_EQ(dls.label(0).zeta.at(0).row(1).size(), 2u);
-  EXPECT_EQ(DistanceLabeling::estimate(dls.label(0), dls.label(1)).upper,
-            2.0);
-}
-
-TEST(SnapshotCorruption, ZetaDecreasingXRejected) {
-  expect_patched_zeta_rejected(2, 0, 0);  // x: 0, 1, 0
-}
-
-TEST(SnapshotCorruption, ZetaDecreasingYWithinARowRejected) {
-  expect_patched_zeta_rejected(1, 1, 3);  // row 1: y 3, then 2
-}
-
-TEST(SnapshotCorruption, ZetaIndexAtOrAboveHostsRejected) {
-  expect_patched_zeta_rejected(2, 0, 3);  // x = hosts
-  expect_patched_zeta_rejected(0, 2, 3);  // z = hosts
-}
-
-TEST(SnapshotCorruption, ZetaLevelCountCapped) {
-  // Every level holds one row offset per host however few triples it has,
-  // so a raised level count is refused by structure (fewer than 32 levels
-  // for u32 node ids), not only by the bytes left to back it.
-  LabelingFixture fx;
-  TempFile file("zeta_levels");
-  save_labeling(fx.dls, file.path());
-  std::vector<char> bytes = slurp(file.path());
-  WireWriter spec_prefix;
-  write_spec(spec_prefix, ScenarioSpec{});
-  // codec (4 x u32 + f64), psi_bits, id_bits, n, then label 0's id.
-  const std::size_t hosts_at =
-      kSnapshotHeaderBytes + spec_prefix.size() + 24 + 3 * 8 + 4;
-  const std::size_t hosts = fx.dls.label(0).host_dist.size();
-  ASSERT_EQ(static_cast<unsigned char>(bytes[hosts_at]), hosts);
-  const std::size_t levels_at = hosts_at + 8 + 8 * hosts;
-  ASSERT_EQ(static_cast<unsigned char>(bytes[levels_at]),
-            fx.dls.label(0).zeta.size());
-  bytes[levels_at] = 32;
-  restamp_checksum(bytes);
-  dump(file.path(), bytes);
-  try {
-    load_labeling(file.path());
-    ADD_FAILURE() << "32 zeta levels loaded";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("32 zeta levels"), std::string::npos)
-        << e.what();
-  }
-}
-
 TEST(SnapshotCorruption, MissingFileRejected) {
   EXPECT_THROW(load_labeling("/nonexistent/ron.snapshot"), Error);
 }
@@ -853,17 +869,19 @@ TEST(Wire, ReaderCopiedOffAStreamThrowsAtItsWindowEnd) {
 // --- golden snapshot fixtures ----------------------------------------------
 //
 // Committed files under tests/data/ pin the on-disk format: today's reader
-// must load them with their content intact. The v2 files must also resave
+// must load them with their content intact. The v3 files must also resave
 // to the committed bytes exactly, so any format change that breaks old
 // snapshots (or makes serialization non-canonical) fails here before it
-// ships. The v2 rings, directory and churn-bundle fixtures are built from
-// literals (no RNG); the v2 labeling, neighbor-system and oracle fixtures
-// hold LabelingFixture(kGoldenLabelingN), like their v1 counterparts. All
-// six are regenerated by
+// ships. The v3 rings, directory and churn-bundle fixtures are built from
+// literals (no RNG); the v3 labeling, neighbor-system and oracle fixtures
+// hold LabelingFixture(kGoldenLabelingN), like their v1 and v2
+// counterparts. All six are regenerated by
 //   RON_REGEN_GOLDEN=1 ./test_oracle --gtest_filter='Golden*'
-// The v1 files are frozen: nothing writes v1 any more. The v1 labeling,
-// neighbor-system and oracle fixtures hold LabelingFixture(kGoldenLabelingN),
-// and the oracle's v1 meta names it "random-cube", n = 8, seed 23, delta 0.25.
+// The v1 and v2 files are frozen: nothing writes them any more. The v2
+// files hold what the v3 files hold (same recipes and content). The v1
+// labeling, neighbor-system and oracle fixtures hold
+// LabelingFixture(kGoldenLabelingN), and the oracle's v1 meta names it
+// "random-cube", n = 8, seed 23, delta 0.25.
 
 RingsOfNeighbors golden_rings() {
   RingsOfNeighbors rings(6);
@@ -881,14 +899,14 @@ ScenarioSpec golden_directory_spec_v1() {
   return ScenarioSpec::parse("metric=geoline,n=10,seed=3,overlay_seed=7");
 }
 
-/// v2 fixture specs exercise every spec wire field: non-default delta,
-/// ring factors, the Y-only flag and a family parameter (exact binary
-/// doubles, so the fixtures are platform-independent).
-ScenarioSpec golden_rings_spec_v2() {
+/// The v2 and v3 fixture specs exercise every spec wire field:
+/// non-default delta, ring factors, the Y-only flag and a family parameter
+/// (exact binary doubles, so the fixtures are platform-independent).
+ScenarioSpec golden_rings_spec() {
   return ScenarioSpec::parse("metric=geoline,n=6,seed=3,base=1.25");
 }
 
-ScenarioSpec golden_directory_spec_v2() {
+ScenarioSpec golden_directory_spec() {
   return ScenarioSpec::parse(
       "metric=geoline,n=10,seed=3,delta=0.375,overlay_seed=7,c_x=3,c_y=1.5,"
       "with_x=0,base=1.25");
@@ -943,16 +961,16 @@ void check_golden_labels(const DistanceLabeling& loaded,
   }
 }
 
-/// The recipe embedded in the v2 labeling, neighbor-system and oracle
-/// fixtures (all hold LabelingFixture(kGoldenLabelingN)).
-ScenarioSpec golden_labeling_spec_v2() {
+/// The recipe embedded in the v2 and v3 labeling, neighbor-system and
+/// oracle fixtures (all hold LabelingFixture(kGoldenLabelingN)).
+ScenarioSpec golden_labeling_spec() {
   return ScenarioSpec::parse("metric=euclid,n=8,seed=23");
 }
 
-/// The churn-bundle fixture's recipe: the v2 directory spec plus a churn
+/// The churn-bundle fixtures' recipe: the directory spec plus a churn
 /// clause, so the reserved churn keys of the spec encoding are pinned too.
-ScenarioSpec golden_churn_spec_v2() {
-  ScenarioSpec spec = golden_directory_spec_v2();
+ScenarioSpec golden_churn_spec() {
+  ScenarioSpec spec = golden_directory_spec();
   spec.churn_ops = 5;
   spec.churn_seed = 11;
   return spec;
@@ -971,25 +989,24 @@ ChurnTrace golden_trace() {
   return trace;
 }
 
-/// Writes the v2 fixture files when RON_REGEN_GOLDEN is set (a maintenance
-/// mode, skipped in normal runs). The v1 files are never rewritten.
+/// Writes the v3 fixture files when RON_REGEN_GOLDEN is set (a maintenance
+/// mode, skipped in normal runs). The v1 and v2 files are never rewritten.
 bool maybe_regen_golden() {
   if (std::getenv("RON_REGEN_GOLDEN") == nullptr) return false;
-  save_rings(golden_rings(), golden_path("golden_rings_v2.snapshot"),
-             golden_rings_spec_v2());
-  save_directory(golden_directory_spec_v2(), golden_directory(),
-                 golden_path("golden_directory_v2.snapshot"));
+  save_rings(golden_rings(), golden_path("golden_rings_v3.snapshot"),
+             golden_rings_spec());
+  save_directory(golden_directory_spec(), golden_directory(),
+                 golden_path("golden_directory_v3.snapshot"));
   const LabelingFixture fx(kGoldenLabelingN);
-  save_labeling(fx.dls, golden_path("golden_labeling_v2.snapshot"),
-                golden_labeling_spec_v2());
+  save_labeling(fx.dls, golden_path("golden_labeling_v3.snapshot"),
+                golden_labeling_spec());
   save_neighbor_system(fx.sys,
-                       golden_path("golden_neighbor_system_v2.snapshot"),
-                       golden_labeling_spec_v2());
-  save_oracle(golden_labeling_spec_v2(), "random-cube", fx.dls,
-              golden_path("golden_oracle_v2.snapshot"));
-  save_churn_bundle(golden_churn_spec_v2(), golden_directory(),
-                    golden_trace(),
-                    golden_path("golden_churn_bundle_v2.snapshot"));
+                       golden_path("golden_neighbor_system_v3.snapshot"),
+                       golden_labeling_spec());
+  save_oracle(golden_labeling_spec(), "random-cube", fx.dls,
+              golden_path("golden_oracle_v3.snapshot"));
+  save_churn_bundle(golden_churn_spec(), golden_directory(), golden_trace(),
+                    golden_path("golden_churn_bundle_v3.snapshot"));
   return true;
 }
 
@@ -1051,132 +1068,496 @@ TEST(GoldenSnapshot, NeighborSystemV1Loads) {
   expect_same_neighbor_system(loaded, fx.sys);
 }
 
+/// A fuzz target whose "save" copies committed fixture `file`: the only
+/// way to reach the parsers of versions nothing writes any more.
+FuzzTarget golden_fuzz_target(const char* name, const char* file,
+                              std::function<void(const std::string&)> load) {
+  return FuzzTarget{
+      name, [file](const std::string& p) { dump(p, slurp(golden_path(file))); },
+      std::move(load)};
+}
+
 TEST(SnapshotFuzz, V1FixtureMutationsAlwaysThrowRonError) {
   // The v1 parsers read bytes before the checksum has checked them, like
-  // the v2 ones; the committed fixtures are their only inputs.
-  const auto fixture = [](const char* name, const char* file,
-                          std::function<void(const std::string&)> load) {
-    return FuzzTarget{name,
-                      [file](const std::string& p) {
-                        dump(p, slurp(golden_path(file)));
-                      },
-                      std::move(load)};
-  };
+  // the others; the committed fixtures are their only inputs.
   const FuzzTarget targets[] = {
-      fixture("rings_v1", "golden_rings_v1.snapshot",
-              [](const std::string& p) { load_rings(p); }),
-      fixture("directory_v1", "golden_directory_v1.snapshot",
-              [](const std::string& p) { load_directory(p); }),
-      fixture("oracle_v1", "golden_oracle_v1.snapshot",
-              [](const std::string& p) { load_oracle(p); }),
-      fixture("labeling_v1", "golden_labeling_v1.snapshot",
-              [](const std::string& p) { load_labeling(p); }),
-      fixture("neighbor_system_v1", "golden_neighbor_system_v1.snapshot",
-              [](const std::string& p) { load_neighbor_system(p); }),
+      golden_fuzz_target("rings_v1", "golden_rings_v1.snapshot",
+                         [](const std::string& p) { load_rings(p); }),
+      golden_fuzz_target("directory_v1", "golden_directory_v1.snapshot",
+                         [](const std::string& p) { load_directory(p); }),
+      golden_fuzz_target("oracle_v1", "golden_oracle_v1.snapshot",
+                         [](const std::string& p) { load_oracle(p); }),
+      golden_fuzz_target("labeling_v1", "golden_labeling_v1.snapshot",
+                         [](const std::string& p) { load_labeling(p); }),
+      golden_fuzz_target(
+          "neighbor_system_v1", "golden_neighbor_system_v1.snapshot",
+          [](const std::string& p) { load_neighbor_system(p); }),
   };
   for (const FuzzTarget& target : targets) {
     expect_mutations_throw_ron_error(target);
   }
 }
 
-TEST(GoldenSnapshot, RingsV2LoadsAndResavesBitIdentically) {
-  if (maybe_regen_golden()) GTEST_SKIP() << "regenerated fixtures";
-  const std::string path = golden_path("golden_rings_v2.snapshot");
+
+/// Loads golden fixture `file`, which must carry `version` and the golden
+/// content; the loaders below do the same for the other kinds.
+RingsOfNeighbors load_golden_rings(const std::string& file,
+                                   std::uint32_t version) {
   ScenarioSpec spec;
   SnapshotInfo info;
-  const RingsOfNeighbors loaded = load_rings(path, &spec, &info);
-  EXPECT_EQ(info.version, kSnapshotVersion);
-  EXPECT_EQ(spec, golden_rings_spec_v2());
+  RingsOfNeighbors loaded = load_rings(golden_path(file), &spec, &info);
+  EXPECT_EQ(info.version, version);
+  EXPECT_EQ(spec, golden_rings_spec());
   check_golden_rings(loaded);
-  TempFile resaved("golden_rings_v2");
-  save_rings(loaded, resaved.path(), spec);
-  EXPECT_EQ(slurp(resaved.path()), slurp(path))
-      << "serialization is no longer canonical for the v2 rings fixture";
+  return loaded;
 }
 
-TEST(GoldenSnapshot, DirectoryV2LoadsAndResavesBitIdentically) {
-  if (maybe_regen_golden()) GTEST_SKIP() << "regenerated fixtures";
-  const std::string path = golden_path("golden_directory_v2.snapshot");
+LoadedDirectory load_golden_directory(const std::string& file,
+                                      std::uint32_t version) {
   SnapshotInfo info;
-  const LoadedDirectory loaded = load_directory(path, &info);
-  EXPECT_EQ(info.version, kSnapshotVersion);
-  EXPECT_EQ(loaded.spec, golden_directory_spec_v2());
+  LoadedDirectory loaded = load_directory(golden_path(file), &info);
+  EXPECT_EQ(info.version, version);
+  EXPECT_EQ(loaded.spec, golden_directory_spec());
   check_golden_directory(loaded.directory);
-  TempFile resaved("golden_dir_v2");
-  save_directory(loaded.spec, loaded.directory, resaved.path());
-  EXPECT_EQ(slurp(resaved.path()), slurp(path))
-      << "serialization is no longer canonical for the v2 directory fixture";
+  return loaded;
 }
 
-TEST(GoldenSnapshot, LabelingV2LoadsAndResavesBitIdentically) {
-  if (maybe_regen_golden()) GTEST_SKIP() << "regenerated fixtures";
+DistanceLabeling load_golden_labeling(const std::string& file,
+                                      std::uint32_t version) {
   const LabelingFixture fx(kGoldenLabelingN);
-  const std::string path = golden_path("golden_labeling_v2.snapshot");
   ScenarioSpec spec;
   SnapshotInfo info;
-  const DistanceLabeling loaded = load_labeling(path, &spec, &info);
-  EXPECT_EQ(info.version, kSnapshotVersion);
-  EXPECT_EQ(spec, golden_labeling_spec_v2());
+  DistanceLabeling loaded = load_labeling(golden_path(file), &spec, &info);
+  EXPECT_EQ(info.version, version);
+  EXPECT_EQ(spec, golden_labeling_spec());
   check_golden_labels(loaded, fx.dls);
-  TempFile resaved("golden_labeling_v2");
-  save_labeling(loaded, resaved.path(), spec);
-  EXPECT_EQ(slurp(resaved.path()), slurp(path))
-      << "serialization is no longer canonical for the v2 labeling fixture";
+  return loaded;
 }
 
-TEST(GoldenSnapshot, NeighborSystemV2LoadsAndResavesBitIdentically) {
+void check_golden_neighbor_system(const std::string& file,
+                                  std::uint32_t version,
+                                  const NeighborSystem& want) {
+  ScenarioSpec spec;
+  SnapshotInfo info;
+  const NeighborSystemSnapshot loaded =
+      load_neighbor_system(golden_path(file), &spec, &info);
+  EXPECT_EQ(info.version, version);
+  EXPECT_EQ(spec, golden_labeling_spec());
+  expect_same_neighbor_system(loaded, want);
+}
+
+LoadedOracle load_golden_oracle(const std::string& file,
+                                std::uint32_t version) {
+  const LabelingFixture fx(kGoldenLabelingN);
+  SnapshotInfo info;
+  LoadedOracle loaded = load_oracle(golden_path(file), &info);
+  EXPECT_EQ(info.version, version);
+  EXPECT_EQ(loaded.spec, golden_labeling_spec());
+  EXPECT_EQ(loaded.metric_name, "random-cube");
+  check_golden_labels(loaded.labeling, fx.dls);
+  return loaded;
+}
+
+LoadedChurnBundle load_golden_churn_bundle(const std::string& file,
+                                           std::uint32_t version) {
+  SnapshotInfo info;
+  LoadedChurnBundle loaded = load_churn_bundle(golden_path(file), &info);
+  EXPECT_EQ(info.version, version);
+  EXPECT_EQ(loaded.spec, golden_churn_spec());
+  check_golden_directory(loaded.initial);
+  EXPECT_EQ(loaded.trace, golden_trace());
+  return loaded;
+}
+
+/// Saves through `save` and expects the committed bytes of fixture `file`.
+void expect_resaves_to(const std::string& file,
+                       const std::function<void(const std::string&)>& save) {
+  TempFile resaved("resave_" + file);
+  save(resaved.path());
+  EXPECT_EQ(slurp(resaved.path()), slurp(golden_path(file)))
+      << "serialization is no longer canonical for " << file;
+}
+
+TEST(GoldenSnapshot, RingsV2Loads) {
+  load_golden_rings("golden_rings_v2.snapshot", kSnapshotVersionV2);
+}
+
+TEST(GoldenSnapshot, DirectoryV2Loads) {
+  load_golden_directory("golden_directory_v2.snapshot", kSnapshotVersionV2);
+}
+
+TEST(GoldenSnapshot, LabelingV2Loads) {
+  load_golden_labeling("golden_labeling_v2.snapshot", kSnapshotVersionV2);
+}
+
+TEST(GoldenSnapshot, NeighborSystemV2Loads) {
+  const LabelingFixture fx(kGoldenLabelingN);
+  check_golden_neighbor_system("golden_neighbor_system_v2.snapshot",
+                               kSnapshotVersionV2, fx.sys);
+}
+
+TEST(GoldenSnapshot, OracleV2Loads) {
+  load_golden_oracle("golden_oracle_v2.snapshot", kSnapshotVersionV2);
+}
+
+TEST(GoldenSnapshot, ChurnBundleV2Loads) {
+  load_golden_churn_bundle("golden_churn_bundle_v2.snapshot",
+                           kSnapshotVersionV2);
+}
+
+TEST(SnapshotFuzz, V2FixtureMutationsAlwaysThrowRonError) {
+  // Saves write v3, so the committed v2 fixtures are now the only inputs
+  // of the v2 paths, the label triple reader among them.
+  const FuzzTarget targets[] = {
+      golden_fuzz_target("rings_v2", "golden_rings_v2.snapshot",
+                         [](const std::string& p) { load_rings(p); }),
+      golden_fuzz_target("directory_v2", "golden_directory_v2.snapshot",
+                         [](const std::string& p) { load_directory(p); }),
+      golden_fuzz_target("oracle_v2", "golden_oracle_v2.snapshot",
+                         [](const std::string& p) { load_oracle(p); }),
+      golden_fuzz_target("labeling_v2", "golden_labeling_v2.snapshot",
+                         [](const std::string& p) { load_labeling(p); }),
+      golden_fuzz_target(
+          "neighbor_system_v2", "golden_neighbor_system_v2.snapshot",
+          [](const std::string& p) { load_neighbor_system(p); }),
+      golden_fuzz_target("churn_bundle_v2", "golden_churn_bundle_v2.snapshot",
+                         [](const std::string& p) { load_churn_bundle(p); }),
+  };
+  for (const FuzzTarget& target : targets) {
+    expect_mutations_throw_ron_error(target);
+  }
+}
+
+TEST(GoldenSnapshot, RingsV3LoadsAndResavesBitIdentically) {
+  if (maybe_regen_golden()) GTEST_SKIP() << "regenerated fixtures";
+  const RingsOfNeighbors loaded =
+      load_golden_rings("golden_rings_v3.snapshot", kSnapshotVersion);
+  expect_resaves_to("golden_rings_v3.snapshot", [&](const std::string& p) {
+    save_rings(loaded, p, golden_rings_spec());
+  });
+}
+
+TEST(GoldenSnapshot, DirectoryV3LoadsAndResavesBitIdentically) {
+  if (maybe_regen_golden()) GTEST_SKIP() << "regenerated fixtures";
+  const LoadedDirectory loaded =
+      load_golden_directory("golden_directory_v3.snapshot", kSnapshotVersion);
+  expect_resaves_to("golden_directory_v3.snapshot", [&](const std::string& p) {
+    save_directory(loaded.spec, loaded.directory, p);
+  });
+}
+
+TEST(GoldenSnapshot, LabelingV3LoadsAndResavesBitIdentically) {
+  if (maybe_regen_golden()) GTEST_SKIP() << "regenerated fixtures";
+  const DistanceLabeling loaded =
+      load_golden_labeling("golden_labeling_v3.snapshot", kSnapshotVersion);
+  expect_resaves_to("golden_labeling_v3.snapshot", [&](const std::string& p) {
+    save_labeling(loaded, p, golden_labeling_spec());
+  });
+}
+
+TEST(GoldenSnapshot, NeighborSystemV3LoadsAndResavesBitIdentically) {
   // Only a NeighborSystem can be saved, not the NeighborSystemSnapshot a
   // load returns, so the resave comes from the fixture the file was
   // written from.
   if (maybe_regen_golden()) GTEST_SKIP() << "regenerated fixtures";
   const LabelingFixture fx(kGoldenLabelingN);
-  const std::string path = golden_path("golden_neighbor_system_v2.snapshot");
-  ScenarioSpec spec;
-  SnapshotInfo info;
-  const NeighborSystemSnapshot loaded =
-      load_neighbor_system(path, &spec, &info);
-  EXPECT_EQ(info.version, kSnapshotVersion);
-  EXPECT_EQ(spec, golden_labeling_spec_v2());
-  expect_same_neighbor_system(loaded, fx.sys);
-  TempFile resaved("golden_nsys_v2");
-  save_neighbor_system(fx.sys, resaved.path(), spec);
-  EXPECT_EQ(slurp(resaved.path()), slurp(path))
-      << "serialization is no longer canonical for the v2 neighbor system "
-         "fixture";
+  check_golden_neighbor_system("golden_neighbor_system_v3.snapshot",
+                               kSnapshotVersion, fx.sys);
+  expect_resaves_to("golden_neighbor_system_v3.snapshot",
+                    [&](const std::string& p) {
+                      save_neighbor_system(fx.sys, p, golden_labeling_spec());
+                    });
 }
 
-TEST(GoldenSnapshot, OracleV2LoadsAndResavesBitIdentically) {
+TEST(GoldenSnapshot, OracleV3LoadsAndResavesBitIdentically) {
   if (maybe_regen_golden()) GTEST_SKIP() << "regenerated fixtures";
+  const LoadedOracle loaded =
+      load_golden_oracle("golden_oracle_v3.snapshot", kSnapshotVersion);
+  expect_resaves_to("golden_oracle_v3.snapshot", [&](const std::string& p) {
+    save_oracle(loaded.spec, loaded.metric_name, loaded.labeling, p);
+  });
+}
+
+TEST(GoldenSnapshot, ChurnBundleV3LoadsAndResavesBitIdentically) {
+  if (maybe_regen_golden()) GTEST_SKIP() << "regenerated fixtures";
+  const LoadedChurnBundle loaded = load_golden_churn_bundle(
+      "golden_churn_bundle_v3.snapshot", kSnapshotVersion);
+  expect_resaves_to("golden_churn_bundle_v3.snapshot",
+                    [&](const std::string& p) {
+                      save_churn_bundle(loaded.spec, loaded.initial,
+                                        loaded.trace, p);
+                    });
+}
+
+// --- the two label readers ---------------------------------------------------
+//
+// A labeling's zeta levels load through one of two readers, picked by the
+// header version: v1 and v2 files carry u32 (x, y, z) triples, v3 files
+// varint rows (write_label). Each case below patches one field of a valid
+// file and restamps the checksum, so only the reader stands in the way,
+// and expects the load to fail naming the fault. Every case writes its own
+// temp file: ctest runs the cases as concurrent processes.
+
+/// Offsets in a v2 or v3 labeling snapshot saved with `spec` whose label 0
+/// has `hosts` hosts: label 0's u64 level count and its first level (v2:
+/// the u64 triple count; v3: the varint entry count).
+struct Label0Offsets {
+  std::size_t levels_at;
+  std::size_t level_at;
+};
+
+Label0Offsets label0_offsets(const ScenarioSpec& spec, std::size_t hosts) {
+  WireWriter prefix;
+  write_spec(prefix, spec);
+  // codec (4 x u32 + f64), psi_bits, id_bits, n, then label 0's id, host
+  // count and host distances.
+  const std::size_t levels_at = kSnapshotHeaderBytes + prefix.size() + 24 +
+                                3 * 8 + 4 + 8 + 8 * hosts;
+  return {levels_at, levels_at + 8};
+}
+
+void put_u32(std::vector<char>& bytes, std::size_t at, std::uint32_t value) {
+  ASSERT_LE(at + 4, bytes.size());
+  for (std::size_t i = 0; i < 4; ++i) {
+    bytes[at + i] = static_cast<char>(value >> (8 * i));
+  }
+}
+
+/// Writes `bytes` to `path` and expects load_labeling to throw ron::Error
+/// naming `want`.
+void expect_labeling_rejected(const std::string& path,
+                              const std::vector<char>& bytes,
+                              const std::string& want) {
+  dump(path, bytes);
+  try {
+    load_labeling(path);
+    ADD_FAILURE() << "patched labeling loaded (wanted '" << want << "')";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+        << e.what();
+  }
+}
+
+/// The committed v2 labeling fixture and label 0's first zeta level in it.
+struct GoldenV2Level {
+  std::vector<char> bytes;
+  std::vector<DlsTriple> triples;  // the level, in (x, y) order
+  std::size_t hosts = 0;           // label 0's host count
+  std::size_t levels_at = 0;       // label 0's u64 level count
+  std::size_t triples_at = 0;      // the level's first triple
+};
+
+GoldenV2Level golden_v2_level() {
+  GoldenV2Level g;
+  g.bytes = slurp(golden_path("golden_labeling_v2.snapshot"));
   const LabelingFixture fx(kGoldenLabelingN);
-  const std::string path = golden_path("golden_oracle_v2.snapshot");
-  SnapshotInfo info;
-  const LoadedOracle loaded = load_oracle(path, &info);
-  EXPECT_EQ(info.version, kSnapshotVersion);
-  EXPECT_EQ(loaded.spec, golden_labeling_spec_v2());
-  EXPECT_EQ(loaded.metric_name, "random-cube");
-  check_golden_labels(loaded.labeling, fx.dls);
-  TempFile resaved("golden_oracle_v2");
-  save_oracle(loaded.spec, loaded.metric_name, loaded.labeling,
-              resaved.path());
-  EXPECT_EQ(slurp(resaved.path()), slurp(path))
-      << "serialization is no longer canonical for the v2 oracle fixture";
+  const DlsLabel& label = fx.dls.label(0);
+  g.hosts = label.host_dist.size();
+  const DlsZeta& zeta = label.zeta.at(0);
+  for (std::uint32_t x = 0; x < zeta.rows(); ++x) {
+    for (const DlsZetaEntry& e : zeta.row(x)) {
+      g.triples.push_back(DlsTriple{x, e.y, e.z});
+    }
+  }
+  const Label0Offsets at = label0_offsets(golden_labeling_spec(), g.hosts);
+  g.levels_at = at.levels_at;
+  g.triples_at = at.level_at + 8;
+  // The offsets agree with the file: the level count, the triple count,
+  // then the level's triples.
+  WireReader r(std::span(reinterpret_cast<const std::uint8_t*>(g.bytes.data()),
+                         g.bytes.size())
+                   .subspan(g.levels_at));
+  EXPECT_EQ(r.u64(), label.zeta.size());
+  EXPECT_EQ(r.u64(), g.triples.size());
+  for (const DlsTriple& t : g.triples) {
+    EXPECT_EQ(r.u32(), t.x);
+    EXPECT_EQ(r.u32(), t.y);
+    EXPECT_EQ(r.u32(), t.z);
+  }
+  return g;
 }
 
-TEST(GoldenSnapshot, ChurnBundleV2LoadsAndResavesBitIdentically) {
-  if (maybe_regen_golden()) GTEST_SKIP() << "regenerated fixtures";
-  const std::string path = golden_path("golden_churn_bundle_v2.snapshot");
+/// Overwrites field `field` (0 x, 1 y, 2 z) of triple `k` of the golden v2
+/// level with `value` and expects the level factory to reject the load.
+void expect_patched_v2_zeta_rejected(const std::string& tag, std::size_t k,
+                                     std::size_t field, std::uint32_t value) {
+  TempFile file("zeta_v2_" + tag);
+  GoldenV2Level g = golden_v2_level();
+  ASSERT_LT(k, g.triples.size());
+  put_u32(g.bytes, g.triples_at + 12 * k + 4 * field, value);
+  restamp_checksum(g.bytes);
+  expect_labeling_rejected(file.path(), g.bytes, "zeta: triple ");
+}
+
+TEST(SnapshotCorruption, ZetaTinyLabelingLoadsUnpatched) {
+  // The control for the v2 cases below: the committed v2 labeling, its
+  // checksum restamped but its bytes untouched, loads through the triple
+  // reader with the fixture's labels.
+  TempFile file("zeta_v2_control");
+  GoldenV2Level g = golden_v2_level();
+  ASSERT_GE(g.triples.size(), 2u);
+  restamp_checksum(g.bytes);
+  dump(file.path(), g.bytes);
   SnapshotInfo info;
-  const LoadedChurnBundle loaded = load_churn_bundle(path, &info);
+  const DistanceLabeling loaded = load_labeling(file.path(), nullptr, &info);
+  EXPECT_EQ(info.version, kSnapshotVersionV2);
+  check_golden_labels(loaded, LabelingFixture(kGoldenLabelingN).dls);
+}
+
+TEST(SnapshotCorruption, ZetaDecreasingXRejected) {
+  const GoldenV2Level g = golden_v2_level();
+  std::size_t k = 1;
+  while (k < g.triples.size() && g.triples[k - 1].x == 0) ++k;
+  ASSERT_LT(k, g.triples.size()) << "the level has a single row";
+  expect_patched_v2_zeta_rejected("x", k, 0, g.triples[k - 1].x - 1);
+}
+
+TEST(SnapshotCorruption, ZetaDecreasingYWithinARowRejected) {
+  const GoldenV2Level g = golden_v2_level();
+  std::size_t k = 1;
+  while (k < g.triples.size() && g.triples[k].x != g.triples[k - 1].x) ++k;
+  ASSERT_LT(k, g.triples.size()) << "no row holds two entries";
+  // Entry k - 1 gets a larger y than entry k, which follows it in the row.
+  expect_patched_v2_zeta_rejected("y", k - 1, 1, g.triples[k].y + 1);
+}
+
+TEST(SnapshotCorruption, ZetaIndexAtOrAboveHostsRejected) {
+  const GoldenV2Level g = golden_v2_level();
+  const auto hosts = static_cast<std::uint32_t>(g.hosts);
+  expect_patched_v2_zeta_rejected("x_hosts", g.triples.size() - 1, 0, hosts);
+  expect_patched_v2_zeta_rejected("z_hosts", 0, 2, hosts);
+}
+
+TEST(SnapshotCorruption, ZetaLevelCountCapped) {
+  // Every level holds one row offset per host however few entries it has,
+  // so a raised level count is refused by structure (fewer than 32 levels
+  // for u32 node ids), not only by the bytes left to back it.
+  TempFile file("zeta_v2_levels");
+  GoldenV2Level g = golden_v2_level();
+  g.bytes[g.levels_at] = 32;
+  restamp_checksum(g.bytes);
+  expect_labeling_rejected(file.path(), g.bytes, "32 zeta levels");
+}
+
+/// A two-label labeling over three hosts each, whose label 0 carries one
+/// zeta level of three entries, (x, y, z) = (0,1,2) (1,0,1) (1,2,0).
+DistanceLabeling tiny_labeling() {
+  const std::vector<DlsTriple> level = {{0, 1, 2}, {1, 0, 1}, {1, 2, 0}};
+  std::vector<DlsLabel> labels(2);
+  for (std::uint32_t u = 0; u < 2; ++u) {
+    labels[u].id = u;
+    labels[u].host_dist = {1.0, 2.0, 3.0};
+    labels[u].zoom0 = 0;
+  }
+  labels[0].zeta = {DlsZeta::from_triples(level, 3)};
+  return DistanceLabeling::from_parts(DistanceCodec(1.0, 10.0, 0.1), 2, 1,
+                                      std::move(labels));
+}
+
+/// tiny_labeling()'s level as v3 writes it: the entry count 3; row 0 of
+/// length 1 (y gap 1, z 2); row 1 of length 2 (gaps 0 and 2, z 1 and 0);
+/// row 2 of length 0.
+const std::vector<std::uint8_t> kTinyLevelV3 = {3, 1, 1, 2, 2, 0, 1, 2, 0, 0};
+
+/// tiny_labeling() saved as v3 with its level's bytes replaced by `level`
+/// (the header's payload length and checksum follow).
+std::vector<char> tiny_labeling_with_level(
+    const std::string& path, const std::vector<std::uint8_t>& level) {
+  save_labeling(tiny_labeling(), path);
+  std::vector<char> bytes = slurp(path);
+  const std::size_t at = label0_offsets(ScenarioSpec{}, 3).level_at;
+  const std::vector<char> saved(bytes.begin() + at,
+                                bytes.begin() + at + kTinyLevelV3.size());
+  EXPECT_EQ(saved, std::vector<char>(kTinyLevelV3.begin(), kTinyLevelV3.end()))
+      << "the v3 level encoding changed";
+  bytes.erase(bytes.begin() + at, bytes.begin() + at + kTinyLevelV3.size());
+  bytes.insert(bytes.begin() + at, level.begin(), level.end());
+  const std::uint64_t payload = bytes.size() - kSnapshotHeaderBytes;
+  for (std::size_t i = 0; i < 8; ++i) {  // the header's payload length
+    bytes[16 + i] = static_cast<char>(payload >> (8 * i));
+  }
+  restamp_checksum(bytes);
+  return bytes;
+}
+
+void expect_v3_level_rejected(const std::string& tag,
+                              const std::vector<std::uint8_t>& level,
+                              const std::string& want) {
+  TempFile file("zeta_v3_" + tag);
+  expect_labeling_rejected(file.path(),
+                           tiny_labeling_with_level(file.path(), level), want);
+}
+
+TEST(SnapshotCorruption, ZetaRowsTinyLabelingLoadsUnpatched) {
+  // The control for the v3 cases below: the level spliced back in as it
+  // was loads and decodes.
+  TempFile file("zeta_v3_control");
+  dump(file.path(), tiny_labeling_with_level(file.path(), kTinyLevelV3));
+  SnapshotInfo info;
+  const DistanceLabeling dls = load_labeling(file.path(), nullptr, &info);
   EXPECT_EQ(info.version, kSnapshotVersion);
-  EXPECT_EQ(loaded.spec, golden_churn_spec_v2());
-  check_golden_directory(loaded.initial);
-  EXPECT_EQ(loaded.trace, golden_trace());
-  TempFile resaved("golden_churn_v2");
-  save_churn_bundle(loaded.spec, loaded.initial, loaded.trace,
-                    resaved.path());
-  EXPECT_EQ(slurp(resaved.path()), slurp(path))
-      << "serialization is no longer canonical for the v2 churn bundle "
-         "fixture";
+  EXPECT_EQ(dls.label(0), tiny_labeling().label(0));
+  EXPECT_EQ(DistanceLabeling::estimate(dls.label(0), dls.label(1)).upper,
+            2.0);
+}
+
+TEST(SnapshotCorruption, ZetaRowsZAtOrAboveHostsRejected) {
+  expect_v3_level_rejected("z", {3, 1, 1, 3, 2, 0, 1, 2, 0, 0},
+                           "zeta z=3 in row 0 at or above 3 hosts");
+}
+
+TEST(SnapshotCorruption, ZetaRowsPastTheEntryCountRejected) {
+  // Row 1 claims three of the two entries left; then rows that sum to
+  // fewer entries than the count promises.
+  expect_v3_level_rejected("rows_over", {3, 1, 1, 2, 3, 0, 1, 2, 0, 0},
+                           "zeta rows run past the level's 3 entries");
+  expect_v3_level_rejected("rows_under", {4, 1, 1, 2, 2, 0, 1, 2, 0, 0},
+                           "zeta rows hold 3 of the level's 4 entries");
+}
+
+TEST(SnapshotCorruption, ZetaRowsImplausibleEntryCountRejected) {
+  // An entry count of 2^40, which the bytes left cannot back, is refused
+  // before anything is sized from it.
+  std::vector<std::uint8_t> level = {0x80, 0x80, 0x80, 0x80, 0x80, 0x20};
+  level.insert(level.end(), kTinyLevelV3.begin() + 1, kTinyLevelV3.end());
+  expect_v3_level_rejected("count", level, "implausible zeta entry count");
+}
+
+TEST(SnapshotCorruption, ZetaRowsYPastU32Rejected) {
+  // A first gap of 2^32, then a row whose gaps 1 and 2^32 - 1 sum past u32.
+  expect_v3_level_rejected(
+      "y_first", {3, 1, 0x80, 0x80, 0x80, 0x80, 0x10, 2, 2, 0, 1, 2, 0, 0},
+      "zeta y past u32 in row 0");
+  expect_v3_level_rejected(
+      "y_sum", {3, 1, 1, 2, 2, 1, 1, 0xff, 0xff, 0xff, 0xff, 0x0f, 0, 0},
+      "zeta y past u32 in row 1");
+}
+
+TEST(SnapshotCorruption, ZetaRowsLevelCountCapped) {
+  // The committed v3 labeling: enough bytes left to back 32 level counts.
+  TempFile file("zeta_v3_levels");
+  std::vector<char> bytes = slurp(golden_path("golden_labeling_v3.snapshot"));
+  const LabelingFixture fx(kGoldenLabelingN);
+  const DlsLabel& label = fx.dls.label(0);
+  const std::size_t levels_at =
+      label0_offsets(golden_labeling_spec(), label.host_dist.size())
+          .levels_at;
+  ASSERT_EQ(static_cast<std::size_t>(bytes[levels_at]), label.zeta.size());
+  bytes[levels_at] = 32;
+  restamp_checksum(bytes);
+  expect_labeling_rejected(file.path(), bytes, "32 zeta levels");
+}
+
+TEST(SnapshotCorruption, ZetaRowsOverlongVarintRejected) {
+  // The entry count 3 in eleven bytes, then in two.
+  std::vector<std::uint8_t> eleven = {0x83};
+  eleven.insert(eleven.end(), 9, 0x80);
+  eleven.push_back(0x00);
+  eleven.insert(eleven.end(), kTinyLevelV3.begin() + 1, kTinyLevelV3.end());
+  expect_v3_level_rejected("varint_11", eleven, "varint longer than 10 bytes");
+  std::vector<std::uint8_t> padded = {0x83, 0x00};
+  padded.insert(padded.end(), kTinyLevelV3.begin() + 1, kTinyLevelV3.end());
+  expect_v3_level_rejected("varint_padded", padded, "ends in a zero byte");
 }
 
 // --- engine ----------------------------------------------------------------

@@ -30,6 +30,16 @@ endif()
 if(NOT step_stdout MATCHES "scenario: metric=euclid,n=64,seed=5")
   message(FATAL_ERROR "info did not print the embedded spec:\n${step_stdout}")
 endif()
+if(NOT step_stdout MATCHES "format version 3")
+  message(FATAL_ERROR "build did not write format v3:\n${step_stdout}")
+endif()
+# The labels' translation maps travel as varint rows: this oracle took
+# 13,830,282 bytes as u32 triples (format v2) and takes about 2.4 MB now.
+file(SIZE ${snapshot} snapshot_bytes)
+if(snapshot_bytes GREATER_EQUAL 4000000)
+  message(FATAL_ERROR
+    "the euclid n=64 oracle takes ${snapshot_bytes} bytes, not under 4 MB")
+endif()
 
 # Space-separated pair list: semicolons are CMake list separators and would
 # be split by the COMMAND expansion below.

@@ -44,9 +44,9 @@ foreach(family IN LISTS families)
       message(FATAL_ERROR
         "info did not print the ${family}/${kind} spec:\n${step_stdout}")
     endif()
-    if(NOT step_stdout MATCHES "format version 2")
+    if(NOT step_stdout MATCHES "format version 3")
       message(FATAL_ERROR
-        "${family}/${kind} snapshot is not format v2:\n${step_stdout}")
+        "${family}/${kind} snapshot is not format v3:\n${step_stdout}")
     endif()
   endforeach()
 
