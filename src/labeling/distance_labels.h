@@ -47,7 +47,7 @@ namespace ron {
 
 /// One entry (x, y, z) of a translation map: zeta_{u,i}(x, y) = z. The
 /// input of DlsZeta::from_triples; the snapshot loader expands wire rows
-/// (or a v1/v2 file's stored triples) into these.
+/// into these.
 struct DlsTriple {
   std::uint32_t x;  // phi_u(v)
   std::uint32_t y;  // psi_v(w)

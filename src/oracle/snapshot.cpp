@@ -4,6 +4,7 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <optional>
 
 #include "oracle/wire.h"
 
@@ -31,7 +32,7 @@ void check_spec_n(const ScenarioSpec& spec, std::size_t artifact_n,
 }
 
 /// Checks the section kind of a freshly opened reader (its constructor has
-/// validated the magic, a known version and the exact length, and seeded
+/// validated the magic, the version and the exact length, and seeded
 /// the checksum) and returns the header fields. The checksum itself is
 /// verified by expect_done() after the last payload byte, and read_count
 /// bounds any allocation a corrupt prefix could request in the meantime,
@@ -58,14 +59,6 @@ SnapshotInfo open_section_of_kind(const WireStreamReader& r,
                          << kind_id(info.kind) << ", expected "
                          << kind_id(want));
   return info;
-}
-
-/// Payload prefix shared by every v2 and v3 section: the embedded
-/// scenario. v1 sections have no prefix; the loader synthesizes an
-/// empty-family spec (kOracle/kObjectDirectory override it from their
-/// legacy metas).
-ScenarioSpec read_spec_prefix(WireReader& r, std::uint32_t version) {
-  return version >= kSnapshotVersionV2 ? read_spec(r) : ScenarioSpec{};
 }
 
 void write_node_list(WireWriter& w, std::span<const NodeId> xs) {
@@ -114,21 +107,8 @@ void write_labeling_payload(WireWriter& w, const DistanceLabeling& dls) {
 // read_labeling_payload).
 constexpr std::uint64_t kMaxZetaLevels = 32;
 
-/// One v1/v2 zeta level: a u64 count, then that many (x, y, z) u32
-/// triples in (x, y) order.
-void read_zeta_triples(WireReader& r, std::vector<DlsTriple>& triples) {
-  const std::uint64_t count =
-      r.read_count(3 * sizeof(std::uint32_t), "zeta triple");
-  triples.resize(static_cast<std::size_t>(count));
-  for (DlsTriple& t : triples) {
-    t.x = r.u32();
-    t.y = r.u32();
-    t.z = r.u32();
-  }
-}
-
-/// One v3 zeta level (see write_label), expanded to its (x, y, z) triples
-/// in (x, y) order for DlsZeta::from_triples.
+/// One zeta level (see write_label), expanded to its (x, y, z) triples in
+/// (x, y) order for DlsZeta::from_triples.
 void read_zeta_rows(WireReader& r, std::size_t hosts,
                     std::vector<DlsTriple>& triples) {
   // An entry is at least a one-byte y gap and a one-byte z.
@@ -158,7 +138,7 @@ void read_zeta_rows(WireReader& r, std::size_t hosts,
                                                     << count << " entries");
 }
 
-DistanceLabeling read_labeling_payload(WireReader& r, std::uint32_t version) {
+DistanceLabeling read_labeling_payload(WireReader& r) {
   const int mantissa_bits = u32_to_int(r.u32());
   const int exponent_bits = u32_to_int(r.u32());
   const int min_exp = u32_to_int(r.u32());
@@ -191,11 +171,7 @@ DistanceLabeling read_labeling_payload(WireReader& r, std::uint32_t version) {
               "snapshot: " << levels << " zeta levels in label " << u);
     lab.zeta.reserve(static_cast<std::size_t>(levels));
     for (std::uint64_t i = 0; i < levels; ++i) {
-      if (version > kSnapshotVersionV2) {
-        read_zeta_rows(r, lab.host_dist.size(), triples);
-      } else {
-        read_zeta_triples(r, triples);
-      }
+      read_zeta_rows(r, lab.host_dist.size(), triples);
       lab.zeta.push_back(DlsZeta::from_triples(triples, lab.host_dist.size()));
     }
     lab.zoom0 = r.u32();
@@ -208,39 +184,6 @@ DistanceLabeling read_labeling_payload(WireReader& r, std::uint32_t version) {
   // zoom0 and each level's row count against its label's host count.
   return DistanceLabeling::from_parts(codec, psi_bits, id_bits,
                                       std::move(labels));
-}
-
-// --- legacy (v1) meta blocks ----------------------------------------------
-//
-// Version 1 carried per-kind provenance structs instead of a spec. The
-// loaders translate them into an equivalent ScenarioSpec.
-
-void read_oracle_meta_v1(WireReader& r, ScenarioSpec& spec,
-                         std::string& metric_name) {
-  metric_name = r.str();
-  spec.family.clear();  // v1 oracle bundles never named their family
-  spec.n = r.u64();
-  RON_CHECK(spec.n >= 1, "snapshot: oracle meta n must be >= 1");
-  spec.seed = r.u64();
-  spec.delta = r.f64();
-  RON_CHECK(std::isfinite(spec.delta) && spec.delta > 0.0 && spec.delta < 1.0,
-            "snapshot: oracle meta delta " << spec.delta << " outside (0,1)");
-}
-
-ScenarioSpec read_directory_meta_v1(WireReader& r) {
-  // v1 directories always rebuilt their overlay with the default ring
-  // profile and delta, so the synthesized spec's defaults are exact.
-  ScenarioSpec spec;
-  spec.family = r.str();
-  RON_CHECK(!spec.family.empty() && spec.family.size() <= 64,
-            "snapshot: directory metric kind of " << spec.family.size()
-                                                  << " bytes");
-  spec.n = r.u64();
-  RON_CHECK(spec.n >= 1 && spec.n <= kInvalidNode,
-            "snapshot: directory node count " << spec.n);
-  spec.seed = r.u64();
-  spec.overlay_seed = r.u64();
-  return spec;
 }
 
 void write_directory_payload(WireWriter& w, const ObjectDirectory& dir) {
@@ -270,6 +213,36 @@ ObjectDirectory read_directory_payload(WireReader& r, std::size_t n) {
     }
   }
   return dir;
+}
+
+/// Loads a directory (as a bundle with an empty trace) or a churn bundle,
+/// refusing every other kind and, when `want` is set, the other of the
+/// two. Both rebuild their overlay from the recipe, so it must name a
+/// family.
+LoadedChurnBundle load_overlay(const std::string& path,
+                               std::optional<SnapshotKind> want,
+                               SnapshotInfo* info) {
+  WireStreamReader r(path);
+  const SnapshotInfo local = want ? open_section_of_kind(r, path, *want)
+                                  : open_section(r, path);
+  const bool bundle = local.kind == SnapshotKind::kChurnBundle;
+  RON_CHECK(bundle || local.kind == SnapshotKind::kObjectDirectory,
+            "snapshot: " << path << " holds section kind "
+                         << kind_id(local.kind)
+                         << ", expected a directory or a churn bundle");
+  const char* what = bundle ? "churn bundle" : "directory";
+  ScenarioSpec spec = read_spec(r);
+  RON_CHECK(!spec.family.empty(),
+            "snapshot: " << what << " recipe is missing its metric family");
+  RON_CHECK(spec.n <= kInvalidNode,
+            "snapshot: " << what << " node count " << spec.n);
+  const std::size_t n = static_cast<std::size_t>(spec.n);
+  ObjectDirectory initial = read_directory_payload(r, n);
+  ChurnTrace trace = bundle ? read_trace_payload(r, n) : ChurnTrace{};
+  r.expect_done();
+  if (info != nullptr) *info = local;
+  return LoadedChurnBundle{std::move(spec), std::move(initial),
+                           std::move(trace)};
 }
 
 }  // namespace
@@ -346,7 +319,7 @@ RingsOfNeighbors load_rings(const std::string& path, ScenarioSpec* spec,
   WireStreamReader r(path);
   const SnapshotInfo local =
       open_section_of_kind(r, path, SnapshotKind::kRings);
-  const ScenarioSpec embedded = read_spec_prefix(r, local.version);
+  const ScenarioSpec embedded = read_spec(r);
   const std::uint64_t n = r.read_count(sizeof(std::uint64_t), "node");
   RON_CHECK(n >= 1 && n <= kInvalidNode, "snapshot: rings node count " << n);
   RingsOfNeighbors rings(static_cast<std::size_t>(n));
@@ -409,7 +382,7 @@ NeighborSystemSnapshot load_neighbor_system(const std::string& path,
   WireStreamReader r(path);
   const SnapshotInfo local =
       open_section_of_kind(r, path, SnapshotKind::kNeighborSystem);
-  const ScenarioSpec embedded = read_spec_prefix(r, local.version);
+  const ScenarioSpec embedded = read_spec(r);
   NeighborSystemSnapshot s;
   const std::uint64_t n = r.read_count(sizeof(std::uint64_t), "node");
   RON_CHECK(n >= 1 && n <= kInvalidNode,
@@ -494,8 +467,8 @@ DistanceLabeling load_labeling(const std::string& path, ScenarioSpec* spec,
   WireStreamReader r(path);
   const SnapshotInfo local =
       open_section_of_kind(r, path, SnapshotKind::kDistanceLabeling);
-  const ScenarioSpec embedded = read_spec_prefix(r, local.version);
-  DistanceLabeling dls = read_labeling_payload(r, local.version);
+  const ScenarioSpec embedded = read_spec(r);
+  DistanceLabeling dls = read_labeling_payload(r);
   r.expect_done();
   check_spec_n(embedded, dls.n(), "labeling");
   if (info != nullptr) *info = local;
@@ -517,15 +490,9 @@ void save_oracle(const ScenarioSpec& spec, const std::string& metric_name,
 LoadedOracle load_oracle(const std::string& path, SnapshotInfo* info) {
   WireStreamReader r(path);
   const SnapshotInfo local = open_section_of_kind(r, path, SnapshotKind::kOracle);
-  ScenarioSpec spec;
-  std::string metric_name;
-  if (local.version >= kSnapshotVersionV2) {
-    spec = read_spec(r);
-    metric_name = r.str();
-  } else {
-    read_oracle_meta_v1(r, spec, metric_name);
-  }
-  DistanceLabeling dls = read_labeling_payload(r, local.version);
+  ScenarioSpec spec = read_spec(r);
+  std::string metric_name = r.str();
+  DistanceLabeling dls = read_labeling_payload(r);
   r.expect_done();
   RON_CHECK(spec.n == dls.n(), "snapshot: oracle spec n "
                                    << spec.n << " != labeling n "
@@ -567,41 +534,18 @@ void save_churn_bundle(const ScenarioSpec& spec,
 
 LoadedChurnBundle load_churn_bundle(const std::string& path,
                                     SnapshotInfo* info) {
-  WireStreamReader r(path);
-  const SnapshotInfo local =
-      open_section_of_kind(r, path, SnapshotKind::kChurnBundle);
-  RON_CHECK(local.version >= kSnapshotVersionV2,
-            "snapshot: churn bundle labeled v" << local.version);
-  ScenarioSpec spec = read_spec(r);
-  RON_CHECK(!spec.family.empty(),
-            "snapshot: churn bundle recipe is missing its metric family");
-  RON_CHECK(spec.n <= kInvalidNode,
-            "snapshot: churn bundle node count " << spec.n);
-  const std::size_t n = static_cast<std::size_t>(spec.n);
-  ObjectDirectory initial = read_directory_payload(r, n);
-  ChurnTrace trace = read_trace_payload(r, n);
-  r.expect_done();
-  if (info != nullptr) *info = local;
-  return LoadedChurnBundle{std::move(spec), std::move(initial),
-                           std::move(trace)};
+  return load_overlay(path, SnapshotKind::kChurnBundle, info);
 }
 
 LoadedDirectory load_directory(const std::string& path, SnapshotInfo* info) {
-  WireStreamReader r(path);
-  const SnapshotInfo local =
-      open_section_of_kind(r, path, SnapshotKind::kObjectDirectory);
-  ScenarioSpec spec = local.version >= kSnapshotVersionV2
-                          ? read_spec(r)
-                          : read_directory_meta_v1(r);
-  RON_CHECK(!spec.family.empty(),
-            "snapshot: directory recipe is missing its metric family");
-  RON_CHECK(spec.n <= kInvalidNode,
-            "snapshot: directory node count " << spec.n);
-  ObjectDirectory dir =
-      read_directory_payload(r, static_cast<std::size_t>(spec.n));
-  r.expect_done();
-  if (info != nullptr) *info = local;
-  return LoadedDirectory{std::move(spec), std::move(dir)};
+  LoadedChurnBundle loaded =
+      load_overlay(path, SnapshotKind::kObjectDirectory, info);
+  return LoadedDirectory{std::move(loaded.spec), std::move(loaded.initial)};
+}
+
+LoadedChurnBundle load_overlay_recipe(const std::string& path,
+                                      SnapshotInfo* info) {
+  return load_overlay(path, std::nullopt, info);
 }
 
 }  // namespace ron

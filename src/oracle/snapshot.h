@@ -8,23 +8,21 @@
 //   [magic "RONSNAP\n"] [u32 format version] [u32 section kind]
 //   [u64 payload size] [u64 FNV-1a checksum] [payload]
 //
-// The container (header layout, known versions, each version's checksum
-// domain) belongs to oracle/wire.h: every section is written through
+// The container (header layout, the format version, the checksum domain)
+// belongs to oracle/wire.h: every section is written through
 // WireStreamWriter and read through WireStreamReader, a chunk at a time,
 // and the payload helpers behind them are written once over the
 // WireWriter/WireReader primitives that served frames use too.
 //
-// Format version 3 (the only one saves write): every section kind embeds
-// the ScenarioSpec the artifact was built from as a payload prefix, so any
-// snapshot is a self-describing recipe — `ron_oracle info` prints the spec
-// back and `locate` rebuilds the exact metric and overlay from it. Version
-// 3 differs from version 2 only in how a distance label's translation maps
-// travel: as varint rows (see write_label), about 2 bytes an entry where
-// v2 stored 12-byte triples. Version 2 files still load through the triple
-// reader, and version 1 files (which carried either no recipe or the old
-// OracleMeta/LocationMeta structs) load too: the loaders synthesize an
-// equivalent spec. The committed v1 and v2 golden fixtures pin both paths;
-// the loader picks the label reader by the header's version.
+// Format version 3 is the only one saves write and the only one loads
+// read. Every section kind embeds the ScenarioSpec the artifact was built
+// from as a payload prefix, so any snapshot is a self-describing recipe —
+// `ron_oracle info` prints the spec back and `locate` rebuilds the exact
+// metric and overlay from it — and a distance label's translation maps
+// travel as varint rows (see write_label). A format bump replaces these
+// readers and regenerates the golden fixtures under tests/data/; a file
+// of an older version fails to load naming its version, and is rebuilt
+// from its recipe with `ron_oracle build --scenario SPEC`.
 //
 // A load validates magic, version, kind and exact length before parsing.
 // The payload is parsed as it streams in, so the parser sees bytes before
@@ -36,10 +34,10 @@
 //
 // RingsOfNeighbors and DistanceLabeling load back as the live classes
 // (queries on the loaded object are bit-identical to the builder's). The
-// loader expands each zeta level's rows (v3) or triples (v1, v2) to
-// triples as they stream in and builds the level through the same
-// validating DlsZeta::from_triples the builder uses, holding one level's
-// triples at a time and never a triple copy of the whole labeling.
+// loader expands each zeta level's rows to triples as they stream in and
+// builds the level through the same validating DlsZeta::from_triples the
+// builder uses, holding one level's triples at a time and never a triple
+// copy of the whole labeling.
 // NeighborSystem is a *builder* — it holds references to the ProximityIndex
 // and net machinery it was derived from — so it loads as
 // NeighborSystemSnapshot: the same read accessors over the materialized
@@ -70,7 +68,7 @@ enum class SnapshotKind : std::uint32_t {
   kObjectDirectory = 5,  // object-location bundle: scenario + directory
   kChurnBundle = 6,      // dynamic bundle: scenario + initial directory +
                          // churn trace (replay reproduces the mutated
-                         // overlay bit-for-bit; v2 and later)
+                         // overlay bit-for-bit)
 };
 
 /// Header fields of a snapshot file, validated (magic/version/length/
@@ -95,10 +93,9 @@ std::uint32_t peek_snapshot_kind(const std::string& path);
 // names a family, spec.n must match the artifact's node count.
 //
 // Load functions: `spec`/`info` out-parameters (when non-null) receive the
-// embedded or synthesized scenario and the validated header fields, once
-// the checksum has been verified (a failed load leaves them untouched). A v1
-// file yields a spec with an empty family (unknown provenance) except for
-// directories, whose v1 meta carried the full recipe.
+// embedded scenario and the validated header fields, once the checksum has
+// been verified (a failed load leaves them untouched). An artifact saved
+// without a spec yields one with an empty family (unknown provenance).
 
 // --- RingsOfNeighbors ------------------------------------------------------
 
@@ -203,16 +200,13 @@ DistanceLabeling load_labeling(const std::string& path,
 ///              y, the first from 0), varint z
 ///   u32 zoom0, u64 zoom count, u32 per zoom entry
 ///
-/// Only the levels differ from v1 and v2, which stored a u64 triple count
-/// and (x, y, z) u32 triples: x is now implicit in the row order, and most
-/// gaps and z fit a byte.
+/// x is implicit in the row order, and most gaps and z fit a byte.
 void write_label(WireWriter& w, const DlsLabel& label);
 
 // --- Oracle serving bundle -------------------------------------------------
 
 struct LoadedOracle {
-  /// Build recipe. A v1 file cannot name its metric family: the spec then
-  /// has an empty family and only n/seed/delta filled from the old meta.
+  /// Build recipe.
   ScenarioSpec spec;
   /// Display name of the metric the labeling was built over (provenance for
   /// `ron_oracle info`; the spec, not this name, is the rebuild recipe).
@@ -260,14 +254,18 @@ struct LoadedChurnBundle {
   ChurnTrace trace;
 };
 
-/// spec.family must be non-empty and spec.n must equal initial.n(). Churn
-/// bundles exist only from v2 on: the legacy format has no spec and
-/// therefore no replayable recipe, so the loader refuses a bundle labeled
-/// v1.
+/// spec.family must be non-empty and spec.n must equal initial.n().
 void save_churn_bundle(const ScenarioSpec& spec,
                        const ObjectDirectory& initial,
                        const ChurnTrace& trace, const std::string& path);
 LoadedChurnBundle load_churn_bundle(const std::string& path,
                                     SnapshotInfo* info = nullptr);
+
+/// The one reader for an overlay's starting state: a churn bundle as
+/// load_churn_bundle reads it, or a directory as a bundle with an empty
+/// trace. Any other kind throws ron::Error. `info->kind` tells the two
+/// apart (a bundle with an empty trace is still a bundle).
+LoadedChurnBundle load_overlay_recipe(const std::string& path,
+                                      SnapshotInfo* info = nullptr);
 
 }  // namespace ron

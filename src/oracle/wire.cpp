@@ -60,13 +60,12 @@ std::uint64_t fnv1a64(std::span<const std::uint8_t> bytes) {
 
 namespace {
 
-/// The initial FNV state of a version's checksum domain (see
-/// kSnapshotVersion): v1 starts at the basis, v2 and v3 fold the header's
-/// version and kind fields in front of the payload.
-std::uint64_t checksum_seed(std::uint32_t version, std::uint32_t kind) {
-  if (version == kSnapshotVersionV1) return kFnv1a64Basis;
+/// The initial FNV state of a section's checksum domain (see
+/// kSnapshotMagic): the header's version and kind fields, folded in front
+/// of the payload.
+std::uint64_t checksum_seed(std::uint32_t kind) {
   WireWriter prefix;
-  prefix.u32(version);
+  prefix.u32(kSnapshotVersion);
   prefix.u32(kind);
   return fnv1a64(prefix.bytes());
 }
@@ -183,7 +182,7 @@ std::string WireReader::str() {
 WireStreamWriter::WireStreamWriter(const std::string& path, std::uint32_t kind)
     : WireWriter(kStreamChunkBytes),
       file_(path),
-      sum_(checksum_seed(kSnapshotVersion, kind)) {
+      sum_(checksum_seed(kind)) {
   WireWriter header;
   for (std::uint8_t b : kSnapshotMagic) header.u8(b);
   header.u32(kSnapshotVersion);
@@ -239,11 +238,12 @@ WireStreamReader::WireStreamReader(const std::string& path)
   WireReader rd(std::span(hdr + sizeof(kSnapshotMagic),
                           kSnapshotHeaderBytes - sizeof(kSnapshotMagic)));
   header_.version = rd.u32();
-  RON_CHECK(header_.version >= kSnapshotVersionV1 &&
-                header_.version <= kSnapshotVersion,
+  RON_CHECK(header_.version == kSnapshotVersion,
             "snapshot: " << path_ << " has format version "
-                         << header_.version << ", this build reads "
-                         << kSnapshotVersionV1 << " to " << kSnapshotVersion);
+                         << header_.version << ", this build reads only "
+                         << kSnapshotVersion
+                         << "; rebuild the file from its recipe "
+                            "(ron_oracle build --scenario SPEC)");
   header_.kind = rd.u32();
   header_.payload_bytes = rd.u64();
   header_.checksum = rd.u64();
@@ -255,7 +255,7 @@ WireStreamReader::WireStreamReader(const std::string& path)
                          << " bytes, header promises "
                          << header_.payload_bytes
                          << " (truncated or trailing garbage)");
-  sum_ = checksum_seed(header_.version, header_.kind);
+  sum_ = checksum_seed(header_.kind);
   unfetched_ = header_.payload_bytes;
   // Uninitialized: every byte the parser sees is fetched first.
   capacity_ = static_cast<std::size_t>(

@@ -86,23 +86,21 @@ class AtomicFile {
 
 /// Snapshot container framing, owned by the stream classes below:
 /// magic[8] + u32 version + u32 kind + u64 payload length + u64 checksum,
-/// then the payload. Saves write kSnapshotVersion; loads accept every
-/// version from kSnapshotVersionV1 to it. The versions:
-///   v1  payloads without an embedded scenario; the checksum covers the
-///       payload alone.
-///   v2  every payload starts with its ScenarioSpec, and the checksum
-///       folds the header's version and kind fields in front of the
-///       payload, so a flip that relabels a file (changes its version or
-///       kind) fails the checksum instead of reaching the wrong parser.
-///   v3  as v2, except that a distance label's translation maps travel
-///       as varint rows instead of u32 triples (see write_label in
-///       oracle/snapshot.h). Every other payload byte is as in v2.
+/// then the payload. Every payload starts with its ScenarioSpec, and the
+/// checksum folds the header's version and kind fields in front of the
+/// payload, so a flip that relabels a file (changes its version or kind)
+/// fails the checksum instead of reaching the wrong parser.
+///
+/// A build reads only the format it writes: saves write kSnapshotVersion
+/// and loads accept nothing else. A snapshot is a cache of a deterministic
+/// build that carries its own recipe, so a format bump replaces the reader
+/// (and regenerates the fixtures under tests/data/) instead of adding one
+/// beside it, and a file of an older version is rebuilt from its recipe
+/// with `ron_oracle build --scenario SPEC`.
 inline constexpr std::uint8_t kSnapshotMagic[8] = {'R', 'O', 'N', 'S',
                                                    'N', 'A', 'P', '\n'};
 inline constexpr std::size_t kSnapshotHeaderBytes = 8 + 4 + 4 + 8 + 8;
 inline constexpr std::uint32_t kSnapshotVersion = 3;
-inline constexpr std::uint32_t kSnapshotVersionV2 = 2;
-inline constexpr std::uint32_t kSnapshotVersionV1 = 1;
 
 /// The longest varint: ceil(64 / 7) bytes carry a u64.
 inline constexpr std::size_t kMaxVarintBytes = 10;
@@ -116,7 +114,7 @@ inline constexpr std::size_t kStreamChunkBytes = 1 << 20;
 /// guards against accidental damage, not adversaries). The _continue form
 /// chains over multiple spans: fnv1a64(a+b) ==
 /// fnv1a64_continue(fnv1a64(a), b) — the container uses it to fold the
-/// header's version/kind fields into the v2 and v3 checksum domain without
+/// header's version/kind fields into the checksum domain without
 /// materializing a concatenated buffer.
 inline constexpr std::uint64_t kFnv1a64Basis = 0xcbf29ce484222325ULL;
 std::uint64_t fnv1a64(std::span<const std::uint8_t> bytes);
@@ -315,16 +313,16 @@ class WireReader {
 /// WireReader whose window slides over the file, so loading a section
 /// holds one window (at most kStreamChunkBytes, sized to the payload when
 /// that is smaller) plus the data structure being built, never the whole
-/// payload. The constructor validates the magic, a known version (1 to
-/// kSnapshotVersion; the payload parsers branch on it) and the
-/// exact file length against the header's payload promise, and seeds the
-/// running checksum from that version's domain (the section kind is the
-/// caller's to check). The checksum is folded over each refill, so the
-/// parser sees each byte BEFORE the checksum has checked it: every
-/// allocation sized from a stored count must be bounded by the unread
-/// payload (read_count), and expect_done() — which every loader must
-/// reach — verifies full consumption AND the checksum, so corruption still
-/// surfaces as ron::Error before the loaded object is returned.
+/// payload. The constructor validates the magic, the version (exactly
+/// kSnapshotVersion) and the exact file length against the header's
+/// payload promise, and seeds the running checksum with the header's
+/// version and kind (the section kind is the caller's to check). The
+/// checksum is folded over each refill, so the parser sees each byte
+/// BEFORE the checksum has checked it: every allocation sized from a
+/// stored count must be bounded by the unread payload (read_count), and
+/// expect_done() — which every loader must reach — verifies full
+/// consumption AND the checksum, so corruption still surfaces as
+/// ron::Error before the loaded object is returned.
 class WireStreamReader : public WireReader {
  public:
   struct Header {

@@ -48,7 +48,7 @@ class WireReader;
 class WireWriter;
 
 struct ScenarioSpec {
-  std::string family;  // empty = unknown provenance (pre-spec snapshots)
+  std::string family;  // empty = unknown provenance (saved without a recipe)
   std::uint64_t n = 256;
   std::uint64_t seed = 1;
   double delta = 0.25;

@@ -13,31 +13,19 @@ namespace {
 /// static overlay from the embedded recipe, replay any stored trace, and
 /// commit the first epoch. Mirrors ron_oracle's load path, except the
 /// mutator is unconditional so the admin channel can keep mutating.
-ServedState load_overlay(const std::string& path, SnapshotKind kind,
+ServedState load_overlay(const std::string& path,
                          const ServedStateOptions& opts) {
   ServedState state;
-  ScenarioSpec spec;
-  ObjectDirectory initial(1);
-  ChurnTrace trace;
-  if (kind == SnapshotKind::kChurnBundle) {
-    LoadedChurnBundle bundle = load_churn_bundle(path);
-    spec = std::move(bundle.spec);
-    initial = std::move(bundle.initial);
-    trace = std::move(bundle.trace);
-  } else {
-    LoadedDirectory loaded = load_directory(path);
-    spec = std::move(loaded.spec);
-    initial = std::move(loaded.directory);
-  }
-  state.builder =
-      std::make_unique<ScenarioBuilder>(spec, opts.build_threads,
-                                        opts.backend);
-  RON_CHECK(state.builder->n() == initial.n(),
+  SnapshotInfo info;
+  LoadedChurnBundle recipe = load_overlay_recipe(path, &info);
+  state.builder = std::make_unique<ScenarioBuilder>(
+      recipe.spec, opts.build_threads, opts.backend);
+  RON_CHECK(state.builder->n() == recipe.initial.n(),
             "served: scenario rebuilds n = "
                 << state.builder->n() << ", snapshot directory has n = "
-                << initial.n());
+                << recipe.initial.n());
   if (state.builder->sparse_backend() &&
-      kind != SnapshotKind::kChurnBundle) {
+      info.kind != SnapshotKind::kChurnBundle) {
     // Million-node serving mode: no mutator (it needs full distance rows),
     // one static epoch over the compact sealed rings. A churn bundle falls
     // through to the mutator below so its replay requirement surfaces as
@@ -45,7 +33,7 @@ ServedState load_overlay(const std::string& path, SnapshotKind kind,
     auto epoch = std::make_shared<LocationEpoch>();
     epoch->id = 1;
     auto directory =
-        std::make_shared<const ObjectDirectory>(std::move(initial));
+        std::make_shared<const ObjectDirectory>(std::move(recipe.initial));
     epoch->service = std::make_shared<const LocationService>(
         state.builder->prox(), state.builder->rings(), *directory);
     epoch->directory = std::move(directory);
@@ -54,9 +42,9 @@ ServedState load_overlay(const std::string& path, SnapshotKind kind,
     return state;
   }
   state.mutator = std::make_unique<OverlayMutator>(
-      state.builder->prox(), state.builder->spec(), std::move(initial),
+      state.builder->prox(), state.builder->spec(), std::move(recipe.initial),
       opts.engine.clock);
-  if (!trace.ops.empty()) state.mutator->apply(trace);
+  if (!recipe.trace.ops.empty()) state.mutator->apply(recipe.trace);
   state.engine = std::make_unique<OracleEngine>(state.mutator->commit(),
                                                 opts.engine, opts.locate);
   return state;
@@ -84,7 +72,7 @@ ServedState load_served_state(const std::string& path,
     }
     case SnapshotKind::kObjectDirectory:
     case SnapshotKind::kChurnBundle:
-      return load_overlay(path, kind, opts);
+      return load_overlay(path, opts);
     case SnapshotKind::kRings:
     case SnapshotKind::kNeighborSystem:
       RON_CHECK(false, "served: snapshot '"

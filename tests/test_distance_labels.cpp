@@ -401,9 +401,9 @@ TEST(DistanceLabeling, RowIndexedDecodeEqualsReference) {
 
 // --- snapshot size ------------------------------------------------------------
 
-/// The bytes a labeling payload saved with an empty spec took in the v1/v2
-/// triple form: the fixed fields, a u64 count per zeta level and 12 bytes
-/// per (x, y, z) triple.
+/// The bytes a labeling payload saved with an empty spec took in the
+/// triple form that formats 1 and 2 stored: the fixed fields, a u64 count
+/// per zeta level and 12 bytes per (x, y, z) triple.
 std::uint64_t triple_form_bytes(const DistanceLabeling& dls) {
   WireWriter spec;
   write_spec(spec, ScenarioSpec{});

@@ -14,10 +14,12 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <iterator>
 #include <new>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -90,7 +92,7 @@ std::size_t largest_allocation(const std::function<void()>& fn) {
 }
 
 /// An opened std::ifstream allocates its own buffer of this size, whatever
-/// the file's; allocation bounds are only checked on payloads above it.
+/// the file's, so no allocation bound is below it.
 constexpr std::size_t kIoBufferBytes = 8192;
 
 /// Unique-ish temp path per test; removed on destruction.
@@ -512,45 +514,62 @@ TEST(SnapshotChurnBundle, RoundTripsSpecDirectoryAndTrace) {
   EXPECT_EQ(slurp(file.path()), slurp(resaved.path()));
 }
 
-/// Recomputes a snapshot file's header checksum in the domain of the
-/// version its header names, so a test can hand the parser a crafted
-/// header or payload that the checksum does not catch.
+/// Recomputes a snapshot file's header checksum (over the header's
+/// version and kind fields, then the payload), so a test can hand the
+/// parser a crafted header or payload that the checksum does not catch.
 void restamp_checksum(std::vector<char>& bytes) {
   const std::span<const std::uint8_t> file(
       reinterpret_cast<const std::uint8_t*>(bytes.data()), bytes.size());
-  const std::span<const std::uint8_t> payload =
-      file.subspan(kSnapshotHeaderBytes);
-  WireReader header(file.subspan(sizeof(kSnapshotMagic), 8));
-  const std::uint32_t version = header.u32();
-  std::uint64_t sum = fnv1a64(payload);  // the v1 domain
-  if (version != kSnapshotVersionV1) {
-    WireWriter prefix;
-    prefix.u32(version);
-    prefix.u32(header.u32());  // kind
-    sum = fnv1a64_continue(fnv1a64(prefix.bytes()), payload);
-  }
+  const std::uint64_t sum =
+      fnv1a64_continue(fnv1a64(file.subspan(sizeof(kSnapshotMagic), 8)),
+                       file.subspan(kSnapshotHeaderBytes));
   for (std::size_t i = 0; i < 8; ++i) {  // the header's last field
     bytes[kSnapshotHeaderBytes - 8 + i] = static_cast<char>(sum >> (8 * i));
   }
 }
 
-TEST(SnapshotChurnBundle, RefusesV1AndRecipeFreeSaves) {
-  TempFile file("churn_bundle_bad");
-  const ScenarioSpec spec =
-      ScenarioSpec::parse("metric=geoline,n=32,seed=3");
-  // v1 has no spec, hence no replayable recipe: a bundle labeled v1 is
-  // refused even when its header is otherwise valid (v1 checksum domain).
-  save_churn_bundle(spec, make_directory(32), make_trace(), file.path());
-  std::vector<char> bytes = slurp(file.path());
-  bytes[8] = static_cast<char>(kSnapshotVersionV1);
+/// Replaces the `len` bytes at `at` of a snapshot file with `with`, then
+/// patches the header's payload length and checksum to match.
+void splice_payload(std::vector<char>& bytes, std::size_t at, std::size_t len,
+                    const std::vector<std::uint8_t>& with) {
+  bytes.erase(bytes.begin() + at, bytes.begin() + at + len);
+  bytes.insert(bytes.begin() + at, with.begin(), with.end());
+  const std::uint64_t payload = bytes.size() - kSnapshotHeaderBytes;
+  for (std::size_t i = 0; i < 8; ++i) {  // the header's payload length
+    bytes[16 + i] = static_cast<char>(payload >> (8 * i));
+  }
   restamp_checksum(bytes);
-  dump(file.path(), bytes);
-  EXPECT_EQ(inspect_snapshot(file.path()).version, kSnapshotVersionV1);
-  EXPECT_THROW(load_churn_bundle(file.path()), Error);
-  // And a family-less spec cannot rebuild anything either.
+}
+
+TEST(SnapshotChurnBundle, RefusesRecipeFreeSaves) {
+  // A family-less spec cannot rebuild anything: it is refused on save,
+  // and a bundle whose stored recipe lost its family is refused on load.
+  TempFile file("churn_bundle_bad");
   EXPECT_THROW(save_churn_bundle(ScenarioSpec{}, make_directory(32),
                                  make_trace(), file.path()),
                Error);
+  const ScenarioSpec spec =
+      ScenarioSpec::parse("metric=geoline,n=32,seed=3");
+  save_churn_bundle(spec, make_directory(32), make_trace(), file.path());
+  std::vector<char> bytes = slurp(file.path());
+  WireWriter named;
+  write_spec(named, spec);
+  ScenarioSpec unnamed = spec;
+  unnamed.family.clear();
+  WireWriter recipe_free;
+  write_spec(recipe_free, unnamed);
+  splice_payload(bytes, kSnapshotHeaderBytes, named.bytes().size(),
+                 recipe_free.bytes());
+  dump(file.path(), bytes);
+  EXPECT_EQ(inspect_snapshot(file.path()).kind, SnapshotKind::kChurnBundle);
+  try {
+    load_churn_bundle(file.path());
+    ADD_FAILURE() << "a recipe-free bundle loaded";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("missing its metric family"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(SnapshotChurnBundle, InvalidTraceRejectedOnSaveAndLoad) {
@@ -650,7 +669,7 @@ struct FuzzTarget {
 };
 
 std::vector<FuzzTarget> fuzz_targets(const LabelingFixture& fx) {
-  // Every target saves with a non-empty embedded spec (v3), so the fuzzer
+  // Every target saves with a non-empty embedded spec, so the fuzzer
   // also mutates the spec prefix and its parser's validation paths.
   const ScenarioSpec spec24 =
       ScenarioSpec::parse("metric=geoline,n=24,seed=3,base=1.25");
@@ -742,53 +761,53 @@ TEST(SnapshotCorruption, WrongMagicRejected) {
   EXPECT_THROW(load_labeling(file.path()), Error);
 }
 
+/// Overwrites the header version of a snapshot saved by `target` with
+/// `version` and expects the load to throw ron::Error naming it.
+void expect_version_rejected(const FuzzTarget& target,
+                             std::uint32_t version) {
+  TempFile file("version_" + std::to_string(version) + "_" + target.name);
+  target.save(file.path());
+  std::vector<char> bytes = slurp(file.path());
+  bytes[8] = static_cast<char>(version);  // follows the 8-byte magic
+  dump(file.path(), bytes);
+  try {
+    target.load(file.path());
+    ADD_FAILURE() << target.name << " labeled v" << version << " loaded";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("format version " + std::to_string(version) + ","),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("rebuild the file from its recipe"),
+              std::string::npos)
+        << what;
+  }
+}
+
 TEST(SnapshotCorruption, UnsupportedVersionRejected) {
   LabelingFixture fx;
-  TempFile file("version");
-  save_labeling(fx.dls, file.path());
-  std::vector<char> bytes = slurp(file.path());
-  bytes[8] = 99;  // version field follows the 8-byte magic
-  dump(file.path(), bytes);
-  EXPECT_THROW(load_labeling(file.path()), Error);
+  for (const FuzzTarget& target : fuzz_targets(fx)) {
+    expect_version_rejected(target, 99);
+  }
 }
 
 TEST(SnapshotCorruption, VersionDowngradeFlipRejected) {
-  // A v3 file whose version field is flipped to 2 or 1 must NOT load as
-  // an older payload. The older parser may run over the v3 bytes, but the
-  // stored checksum was computed in the v3 domain, which includes the
-  // version field, so the load fails at the latest when the checksum is
-  // verified after the last byte. One target per kind. A flip to 2 sends a
-  // labeling's compact rows to the triple reader, which must fail without
-  // an allocation larger than the payload.
+  // A current file whose version field is flipped to an older one must
+  // not load: this build reads only kSnapshotVersion, so the header gate
+  // refuses it, naming the version, before any payload parser runs. One
+  // target per kind.
   LabelingFixture fx;
   for (const FuzzTarget& target : fuzz_targets(fx)) {
-    for (const std::uint32_t version :
-         {kSnapshotVersionV2, kSnapshotVersionV1}) {
-      TempFile file("downgrade_" + std::to_string(version) + "_" +
-                    target.name);
-      target.save(file.path());
-      std::vector<char> bytes = slurp(file.path());
-      bytes[8] = static_cast<char>(version);  // follows the 8-byte magic
-      dump(file.path(), bytes);
-      const std::size_t payload = bytes.size() - kSnapshotHeaderBytes;
-      const std::size_t largest = largest_allocation([&] {
-        EXPECT_THROW(target.load(file.path()), Error)
-            << target.name << " flipped to v" << version;
-      });
-      if (version == kSnapshotVersionV2 && payload > kIoBufferBytes) {
-        EXPECT_LE(largest, payload) << target.name;
-        if (RON_TEST_ALLOCATION_PROBE) {
-          EXPECT_GT(largest, 0u) << target.name;
-        }
-      }
+    for (std::uint32_t version = 1; version < kSnapshotVersion; ++version) {
+      expect_version_rejected(target, version);
     }
   }
 }
 
 TEST(SnapshotCorruption, KindRelabelFlipRejected) {
-  // Same idea for the kind field: relabeling a v3 rings file as a labeling
-  // section fails the checksum even before the kind gate (in v1 the gate
-  // alone had to catch it — and still does, see WrongKindRejected).
+  // Same idea for the kind field: relabeling a rings file as a labeling
+  // section fails the checksum even before the kind gate (which catches a
+  // valid file of another kind, see WrongKindRejected).
   TempFile file("kindflip");
   save_rings(make_rings(8), file.path());
   std::vector<char> bytes = slurp(file.path());
@@ -840,13 +859,20 @@ TEST(SnapshotCorruption, RaisedNeighborSystemCountsRejectedBeforeReserve) {
   bytes[levels_at] = 64;
   restamp_checksum(bytes);
   dump(file.path(), bytes);
-  try {
-    load_neighbor_system(file.path());
-    ADD_FAILURE() << "raised counts loaded";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("node count " + std::to_string(n)),
-              std::string::npos)
-        << e.what();
+  const std::size_t payload = bytes.size() - kSnapshotHeaderBytes;
+  const std::size_t largest = largest_allocation([&] {
+    try {
+      load_neighbor_system(file.path());
+      ADD_FAILURE() << "raised counts loaded";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("node count " + std::to_string(n)),
+                std::string::npos)
+          << e.what();
+    }
+  });
+  EXPECT_LE(largest, std::max(payload, kIoBufferBytes));
+  if (RON_TEST_ALLOCATION_PROBE) {
+    EXPECT_GT(largest, 0u);
   }
 }
 
@@ -868,20 +894,17 @@ TEST(Wire, ReaderCopiedOffAStreamThrowsAtItsWindowEnd) {
 
 // --- golden snapshot fixtures ----------------------------------------------
 //
-// Committed files under tests/data/ pin the on-disk format: today's reader
-// must load them with their content intact. The v3 files must also resave
-// to the committed bytes exactly, so any format change that breaks old
-// snapshots (or makes serialization non-canonical) fails here before it
-// ships. The v3 rings, directory and churn-bundle fixtures are built from
-// literals (no RNG); the v3 labeling, neighbor-system and oracle fixtures
-// hold LabelingFixture(kGoldenLabelingN), like their v1 and v2
-// counterparts. All six are regenerated by
-//   RON_REGEN_GOLDEN=1 ./test_oracle --gtest_filter='Golden*'
-// The v1 and v2 files are frozen: nothing writes them any more. The v2
-// files hold what the v3 files hold (same recipes and content). The v1
+// Committed files under tests/data/ pin the on-disk format: the reader
+// must load them with their content intact, and they must resave to the
+// committed bytes exactly, so any format change (or serialization that
+// stops being canonical) fails here before it ships. The rings, directory
+// and churn-bundle fixtures are built from literals (no RNG); the
 // labeling, neighbor-system and oracle fixtures hold
-// LabelingFixture(kGoldenLabelingN), and the oracle's v1 meta names it
-// "random-cube", n = 8, seed 23, delta 0.25.
+// LabelingFixture(kGoldenLabelingN). A build reads only the format it
+// writes, so a format bump regenerates all six with
+//   RON_REGEN_GOLDEN=1 ./test_oracle --gtest_filter='Golden*'
+// and EveryCommittedFixtureIsCurrent fails until that is done and the
+// older files are deleted.
 
 RingsOfNeighbors golden_rings() {
   RingsOfNeighbors rings(6);
@@ -893,13 +916,7 @@ RingsOfNeighbors golden_rings() {
   return rings;
 }
 
-/// The spec a loaded v1 directory fixture must synthesize (the old
-/// LocationMeta {"geoline", 10, 3, 7} translated field by field).
-ScenarioSpec golden_directory_spec_v1() {
-  return ScenarioSpec::parse("metric=geoline,n=10,seed=3,overlay_seed=7");
-}
-
-/// The v2 and v3 fixture specs exercise every spec wire field:
+/// The fixture specs exercise every spec wire field:
 /// non-default delta, ring factors, the Y-only flag and a family parameter
 /// (exact binary doubles, so the fixtures are platform-independent).
 ScenarioSpec golden_rings_spec() {
@@ -961,8 +978,8 @@ void check_golden_labels(const DistanceLabeling& loaded,
   }
 }
 
-/// The recipe embedded in the v2 and v3 labeling, neighbor-system and
-/// oracle fixtures (all hold LabelingFixture(kGoldenLabelingN)).
+/// The recipe embedded in the labeling, neighbor-system and oracle
+/// fixtures (all hold LabelingFixture(kGoldenLabelingN)).
 ScenarioSpec golden_labeling_spec() {
   return ScenarioSpec::parse("metric=euclid,n=8,seed=23");
 }
@@ -989,8 +1006,8 @@ ChurnTrace golden_trace() {
   return trace;
 }
 
-/// Writes the v3 fixture files when RON_REGEN_GOLDEN is set (a maintenance
-/// mode, skipped in normal runs). The v1 and v2 files are never rewritten.
+/// Writes the fixture files when RON_REGEN_GOLDEN is set (a maintenance
+/// mode, skipped in normal runs).
 bool maybe_regen_golden() {
   if (std::getenv("RON_REGEN_GOLDEN") == nullptr) return false;
   save_rings(golden_rings(), golden_path("golden_rings_v3.snapshot"),
@@ -1010,159 +1027,64 @@ bool maybe_regen_golden() {
   return true;
 }
 
-TEST(GoldenSnapshot, RingsV1Loads) {
-  const std::string path = golden_path("golden_rings_v1.snapshot");
-  ScenarioSpec spec;
-  SnapshotInfo info;
-  const RingsOfNeighbors loaded = load_rings(path, &spec, &info);
-  EXPECT_EQ(info.version, kSnapshotVersionV1);
-  EXPECT_TRUE(spec.family.empty()) << "v1 rings carry no recipe";
-  check_golden_rings(loaded);
-}
-
-TEST(GoldenSnapshot, DirectoryV1Loads) {
-  SnapshotInfo info;
-  const LoadedDirectory loaded =
-      load_directory(golden_path("golden_directory_v1.snapshot"), &info);
-  EXPECT_EQ(info.version, kSnapshotVersionV1);
-  EXPECT_EQ(loaded.spec, golden_directory_spec_v1());
-  check_golden_directory(loaded.directory);
-}
-
-TEST(GoldenSnapshot, OracleV1Loads) {
-  // The v1 oracle meta cannot carry a family: the loaded spec keeps only
-  // n/seed/delta, next to the display name.
-  const LabelingFixture fx(kGoldenLabelingN);
-  SnapshotInfo info;
-  const LoadedOracle loaded =
-      load_oracle(golden_path("golden_oracle_v1.snapshot"), &info);
-  EXPECT_EQ(info.version, kSnapshotVersionV1);
-  EXPECT_EQ(info.kind, SnapshotKind::kOracle);
-  EXPECT_TRUE(loaded.spec.family.empty());
-  EXPECT_EQ(loaded.spec.n, kGoldenLabelingN);
-  EXPECT_EQ(loaded.spec.seed, 23u);
-  EXPECT_EQ(loaded.spec.delta, 0.25);
-  EXPECT_EQ(loaded.metric_name, "random-cube");
-  check_golden_labels(loaded.labeling, fx.dls);
-}
-
-TEST(GoldenSnapshot, LabelingV1Loads) {
-  const LabelingFixture fx(kGoldenLabelingN);
-  ScenarioSpec spec;
-  SnapshotInfo info;
-  const DistanceLabeling loaded =
-      load_labeling(golden_path("golden_labeling_v1.snapshot"), &spec, &info);
-  EXPECT_EQ(info.version, kSnapshotVersionV1);
-  EXPECT_TRUE(spec.family.empty()) << "v1 labelings carry no recipe";
-  check_golden_labels(loaded, fx.dls);
-}
-
-TEST(GoldenSnapshot, NeighborSystemV1Loads) {
-  const LabelingFixture fx(kGoldenLabelingN);
-  ScenarioSpec spec;
-  SnapshotInfo info;
-  const NeighborSystemSnapshot loaded = load_neighbor_system(
-      golden_path("golden_neighbor_system_v1.snapshot"), &spec, &info);
-  EXPECT_EQ(info.version, kSnapshotVersionV1);
-  EXPECT_TRUE(spec.family.empty()) << "v1 neighbor systems carry no recipe";
-  expect_same_neighbor_system(loaded, fx.sys);
-}
-
-/// A fuzz target whose "save" copies committed fixture `file`: the only
-/// way to reach the parsers of versions nothing writes any more.
-FuzzTarget golden_fuzz_target(const char* name, const char* file,
-                              std::function<void(const std::string&)> load) {
-  return FuzzTarget{
-      name, [file](const std::string& p) { dump(p, slurp(golden_path(file))); },
-      std::move(load)};
-}
-
-TEST(SnapshotFuzz, V1FixtureMutationsAlwaysThrowRonError) {
-  // The v1 parsers read bytes before the checksum has checked them, like
-  // the others; the committed fixtures are their only inputs.
-  const FuzzTarget targets[] = {
-      golden_fuzz_target("rings_v1", "golden_rings_v1.snapshot",
-                         [](const std::string& p) { load_rings(p); }),
-      golden_fuzz_target("directory_v1", "golden_directory_v1.snapshot",
-                         [](const std::string& p) { load_directory(p); }),
-      golden_fuzz_target("oracle_v1", "golden_oracle_v1.snapshot",
-                         [](const std::string& p) { load_oracle(p); }),
-      golden_fuzz_target("labeling_v1", "golden_labeling_v1.snapshot",
-                         [](const std::string& p) { load_labeling(p); }),
-      golden_fuzz_target(
-          "neighbor_system_v1", "golden_neighbor_system_v1.snapshot",
-          [](const std::string& p) { load_neighbor_system(p); }),
-  };
-  for (const FuzzTarget& target : targets) {
-    expect_mutations_throw_ron_error(target);
-  }
-}
-
-
-/// Loads golden fixture `file`, which must carry `version` and the golden
-/// content; the loaders below do the same for the other kinds.
-RingsOfNeighbors load_golden_rings(const std::string& file,
-                                   std::uint32_t version) {
+/// Loads golden fixture `file`, which must carry the current version and
+/// the golden content; the loaders below do the same for the other kinds.
+RingsOfNeighbors load_golden_rings(const std::string& file) {
   ScenarioSpec spec;
   SnapshotInfo info;
   RingsOfNeighbors loaded = load_rings(golden_path(file), &spec, &info);
-  EXPECT_EQ(info.version, version);
+  EXPECT_EQ(info.version, kSnapshotVersion);
   EXPECT_EQ(spec, golden_rings_spec());
   check_golden_rings(loaded);
   return loaded;
 }
 
-LoadedDirectory load_golden_directory(const std::string& file,
-                                      std::uint32_t version) {
+LoadedDirectory load_golden_directory(const std::string& file) {
   SnapshotInfo info;
   LoadedDirectory loaded = load_directory(golden_path(file), &info);
-  EXPECT_EQ(info.version, version);
+  EXPECT_EQ(info.version, kSnapshotVersion);
   EXPECT_EQ(loaded.spec, golden_directory_spec());
   check_golden_directory(loaded.directory);
   return loaded;
 }
 
-DistanceLabeling load_golden_labeling(const std::string& file,
-                                      std::uint32_t version) {
+DistanceLabeling load_golden_labeling(const std::string& file) {
   const LabelingFixture fx(kGoldenLabelingN);
   ScenarioSpec spec;
   SnapshotInfo info;
   DistanceLabeling loaded = load_labeling(golden_path(file), &spec, &info);
-  EXPECT_EQ(info.version, version);
+  EXPECT_EQ(info.version, kSnapshotVersion);
   EXPECT_EQ(spec, golden_labeling_spec());
   check_golden_labels(loaded, fx.dls);
   return loaded;
 }
 
 void check_golden_neighbor_system(const std::string& file,
-                                  std::uint32_t version,
                                   const NeighborSystem& want) {
   ScenarioSpec spec;
   SnapshotInfo info;
   const NeighborSystemSnapshot loaded =
       load_neighbor_system(golden_path(file), &spec, &info);
-  EXPECT_EQ(info.version, version);
+  EXPECT_EQ(info.version, kSnapshotVersion);
   EXPECT_EQ(spec, golden_labeling_spec());
   expect_same_neighbor_system(loaded, want);
 }
 
-LoadedOracle load_golden_oracle(const std::string& file,
-                                std::uint32_t version) {
+LoadedOracle load_golden_oracle(const std::string& file) {
   const LabelingFixture fx(kGoldenLabelingN);
   SnapshotInfo info;
   LoadedOracle loaded = load_oracle(golden_path(file), &info);
-  EXPECT_EQ(info.version, version);
+  EXPECT_EQ(info.version, kSnapshotVersion);
   EXPECT_EQ(loaded.spec, golden_labeling_spec());
   EXPECT_EQ(loaded.metric_name, "random-cube");
   check_golden_labels(loaded.labeling, fx.dls);
   return loaded;
 }
 
-LoadedChurnBundle load_golden_churn_bundle(const std::string& file,
-                                           std::uint32_t version) {
+LoadedChurnBundle load_golden_churn_bundle(const std::string& file) {
   SnapshotInfo info;
   LoadedChurnBundle loaded = load_churn_bundle(golden_path(file), &info);
-  EXPECT_EQ(info.version, version);
+  EXPECT_EQ(info.version, kSnapshotVersion);
   EXPECT_EQ(loaded.spec, golden_churn_spec());
   check_golden_directory(loaded.initial);
   EXPECT_EQ(loaded.trace, golden_trace());
@@ -1178,60 +1100,10 @@ void expect_resaves_to(const std::string& file,
       << "serialization is no longer canonical for " << file;
 }
 
-TEST(GoldenSnapshot, RingsV2Loads) {
-  load_golden_rings("golden_rings_v2.snapshot", kSnapshotVersionV2);
-}
-
-TEST(GoldenSnapshot, DirectoryV2Loads) {
-  load_golden_directory("golden_directory_v2.snapshot", kSnapshotVersionV2);
-}
-
-TEST(GoldenSnapshot, LabelingV2Loads) {
-  load_golden_labeling("golden_labeling_v2.snapshot", kSnapshotVersionV2);
-}
-
-TEST(GoldenSnapshot, NeighborSystemV2Loads) {
-  const LabelingFixture fx(kGoldenLabelingN);
-  check_golden_neighbor_system("golden_neighbor_system_v2.snapshot",
-                               kSnapshotVersionV2, fx.sys);
-}
-
-TEST(GoldenSnapshot, OracleV2Loads) {
-  load_golden_oracle("golden_oracle_v2.snapshot", kSnapshotVersionV2);
-}
-
-TEST(GoldenSnapshot, ChurnBundleV2Loads) {
-  load_golden_churn_bundle("golden_churn_bundle_v2.snapshot",
-                           kSnapshotVersionV2);
-}
-
-TEST(SnapshotFuzz, V2FixtureMutationsAlwaysThrowRonError) {
-  // Saves write v3, so the committed v2 fixtures are now the only inputs
-  // of the v2 paths, the label triple reader among them.
-  const FuzzTarget targets[] = {
-      golden_fuzz_target("rings_v2", "golden_rings_v2.snapshot",
-                         [](const std::string& p) { load_rings(p); }),
-      golden_fuzz_target("directory_v2", "golden_directory_v2.snapshot",
-                         [](const std::string& p) { load_directory(p); }),
-      golden_fuzz_target("oracle_v2", "golden_oracle_v2.snapshot",
-                         [](const std::string& p) { load_oracle(p); }),
-      golden_fuzz_target("labeling_v2", "golden_labeling_v2.snapshot",
-                         [](const std::string& p) { load_labeling(p); }),
-      golden_fuzz_target(
-          "neighbor_system_v2", "golden_neighbor_system_v2.snapshot",
-          [](const std::string& p) { load_neighbor_system(p); }),
-      golden_fuzz_target("churn_bundle_v2", "golden_churn_bundle_v2.snapshot",
-                         [](const std::string& p) { load_churn_bundle(p); }),
-  };
-  for (const FuzzTarget& target : targets) {
-    expect_mutations_throw_ron_error(target);
-  }
-}
-
 TEST(GoldenSnapshot, RingsV3LoadsAndResavesBitIdentically) {
   if (maybe_regen_golden()) GTEST_SKIP() << "regenerated fixtures";
   const RingsOfNeighbors loaded =
-      load_golden_rings("golden_rings_v3.snapshot", kSnapshotVersion);
+      load_golden_rings("golden_rings_v3.snapshot");
   expect_resaves_to("golden_rings_v3.snapshot", [&](const std::string& p) {
     save_rings(loaded, p, golden_rings_spec());
   });
@@ -1240,7 +1112,7 @@ TEST(GoldenSnapshot, RingsV3LoadsAndResavesBitIdentically) {
 TEST(GoldenSnapshot, DirectoryV3LoadsAndResavesBitIdentically) {
   if (maybe_regen_golden()) GTEST_SKIP() << "regenerated fixtures";
   const LoadedDirectory loaded =
-      load_golden_directory("golden_directory_v3.snapshot", kSnapshotVersion);
+      load_golden_directory("golden_directory_v3.snapshot");
   expect_resaves_to("golden_directory_v3.snapshot", [&](const std::string& p) {
     save_directory(loaded.spec, loaded.directory, p);
   });
@@ -1249,7 +1121,7 @@ TEST(GoldenSnapshot, DirectoryV3LoadsAndResavesBitIdentically) {
 TEST(GoldenSnapshot, LabelingV3LoadsAndResavesBitIdentically) {
   if (maybe_regen_golden()) GTEST_SKIP() << "regenerated fixtures";
   const DistanceLabeling loaded =
-      load_golden_labeling("golden_labeling_v3.snapshot", kSnapshotVersion);
+      load_golden_labeling("golden_labeling_v3.snapshot");
   expect_resaves_to("golden_labeling_v3.snapshot", [&](const std::string& p) {
     save_labeling(loaded, p, golden_labeling_spec());
   });
@@ -1261,8 +1133,7 @@ TEST(GoldenSnapshot, NeighborSystemV3LoadsAndResavesBitIdentically) {
   // written from.
   if (maybe_regen_golden()) GTEST_SKIP() << "regenerated fixtures";
   const LabelingFixture fx(kGoldenLabelingN);
-  check_golden_neighbor_system("golden_neighbor_system_v3.snapshot",
-                               kSnapshotVersion, fx.sys);
+  check_golden_neighbor_system("golden_neighbor_system_v3.snapshot", fx.sys);
   expect_resaves_to("golden_neighbor_system_v3.snapshot",
                     [&](const std::string& p) {
                       save_neighbor_system(fx.sys, p, golden_labeling_spec());
@@ -1272,7 +1143,7 @@ TEST(GoldenSnapshot, NeighborSystemV3LoadsAndResavesBitIdentically) {
 TEST(GoldenSnapshot, OracleV3LoadsAndResavesBitIdentically) {
   if (maybe_regen_golden()) GTEST_SKIP() << "regenerated fixtures";
   const LoadedOracle loaded =
-      load_golden_oracle("golden_oracle_v3.snapshot", kSnapshotVersion);
+      load_golden_oracle("golden_oracle_v3.snapshot");
   expect_resaves_to("golden_oracle_v3.snapshot", [&](const std::string& p) {
     save_oracle(loaded.spec, loaded.metric_name, loaded.labeling, p);
   });
@@ -1280,8 +1151,8 @@ TEST(GoldenSnapshot, OracleV3LoadsAndResavesBitIdentically) {
 
 TEST(GoldenSnapshot, ChurnBundleV3LoadsAndResavesBitIdentically) {
   if (maybe_regen_golden()) GTEST_SKIP() << "regenerated fixtures";
-  const LoadedChurnBundle loaded = load_golden_churn_bundle(
-      "golden_churn_bundle_v3.snapshot", kSnapshotVersion);
+  const LoadedChurnBundle loaded =
+      load_golden_churn_bundle("golden_churn_bundle_v3.snapshot");
   expect_resaves_to("golden_churn_bundle_v3.snapshot",
                     [&](const std::string& p) {
                       save_churn_bundle(loaded.spec, loaded.initial,
@@ -1289,18 +1160,40 @@ TEST(GoldenSnapshot, ChurnBundleV3LoadsAndResavesBitIdentically) {
                     });
 }
 
-// --- the two label readers ---------------------------------------------------
-//
-// A labeling's zeta levels load through one of two readers, picked by the
-// header version: v1 and v2 files carry u32 (x, y, z) triples, v3 files
-// varint rows (write_label). Each case below patches one field of a valid
-// file and restamps the checksum, so only the reader stands in the way,
-// and expects the load to fail naming the fault. Every case writes its own
-// temp file: ctest runs the cases as concurrent processes.
+TEST(GoldenSnapshot, EveryCommittedFixtureIsCurrent) {
+  // A build reads only the format it writes, so every committed fixture
+  // must carry kSnapshotVersion and say so in its name, and every section
+  // kind must have one. A format bump fails here until the fixtures are
+  // regenerated (see maybe_regen_golden) and the older files deleted.
+  const std::string suffix =
+      "_v" + std::to_string(kSnapshotVersion) + ".snapshot";
+  std::set<SnapshotKind> kinds;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(RON_TEST_DATA_DIR)) {
+    const std::string name = entry.path().filename().string();
+    EXPECT_TRUE(name.ends_with(suffix)) << name << " is not named *" << suffix;
+    try {
+      const SnapshotInfo info = inspect_snapshot(entry.path().string());
+      EXPECT_EQ(info.version, kSnapshotVersion) << name;
+      kinds.insert(info.kind);
+    } catch (const Error& e) {
+      ADD_FAILURE() << name << ": " << e.what();
+    }
+  }
+  EXPECT_EQ(kinds.size(), 6u) << "a section kind has no committed fixture";
+}
 
-/// Offsets in a v2 or v3 labeling snapshot saved with `spec` whose label 0
-/// has `hosts` hosts: label 0's u64 level count and its first level (v2:
-/// the u64 triple count; v3: the varint entry count).
+// --- the label reader --------------------------------------------------------
+//
+// A labeling's zeta levels load as varint rows (write_label). Each case
+// below patches a valid file and restamps the checksum, so only the reader
+// stands in the way, and expects the load to fail naming the fault. Every
+// case writes its own temp file: ctest runs the cases as concurrent
+// processes.
+
+/// Offsets in a labeling snapshot saved with `spec` whose label 0 has
+/// `hosts` hosts: label 0's u64 level count and its first level's varint
+/// entry count.
 struct Label0Offsets {
   std::size_t levels_at;
   std::size_t level_at;
@@ -1314,13 +1207,6 @@ Label0Offsets label0_offsets(const ScenarioSpec& spec, std::size_t hosts) {
   const std::size_t levels_at = kSnapshotHeaderBytes + prefix.size() + 24 +
                                 3 * 8 + 4 + 8 + 8 * hosts;
   return {levels_at, levels_at + 8};
-}
-
-void put_u32(std::vector<char>& bytes, std::size_t at, std::uint32_t value) {
-  ASSERT_LE(at + 4, bytes.size());
-  for (std::size_t i = 0; i < 4; ++i) {
-    bytes[at + i] = static_cast<char>(value >> (8 * i));
-  }
 }
 
 /// Writes `bytes` to `path` and expects load_labeling to throw ron::Error
@@ -1338,107 +1224,6 @@ void expect_labeling_rejected(const std::string& path,
   }
 }
 
-/// The committed v2 labeling fixture and label 0's first zeta level in it.
-struct GoldenV2Level {
-  std::vector<char> bytes;
-  std::vector<DlsTriple> triples;  // the level, in (x, y) order
-  std::size_t hosts = 0;           // label 0's host count
-  std::size_t levels_at = 0;       // label 0's u64 level count
-  std::size_t triples_at = 0;      // the level's first triple
-};
-
-GoldenV2Level golden_v2_level() {
-  GoldenV2Level g;
-  g.bytes = slurp(golden_path("golden_labeling_v2.snapshot"));
-  const LabelingFixture fx(kGoldenLabelingN);
-  const DlsLabel& label = fx.dls.label(0);
-  g.hosts = label.host_dist.size();
-  const DlsZeta& zeta = label.zeta.at(0);
-  for (std::uint32_t x = 0; x < zeta.rows(); ++x) {
-    for (const DlsZetaEntry& e : zeta.row(x)) {
-      g.triples.push_back(DlsTriple{x, e.y, e.z});
-    }
-  }
-  const Label0Offsets at = label0_offsets(golden_labeling_spec(), g.hosts);
-  g.levels_at = at.levels_at;
-  g.triples_at = at.level_at + 8;
-  // The offsets agree with the file: the level count, the triple count,
-  // then the level's triples.
-  WireReader r(std::span(reinterpret_cast<const std::uint8_t*>(g.bytes.data()),
-                         g.bytes.size())
-                   .subspan(g.levels_at));
-  EXPECT_EQ(r.u64(), label.zeta.size());
-  EXPECT_EQ(r.u64(), g.triples.size());
-  for (const DlsTriple& t : g.triples) {
-    EXPECT_EQ(r.u32(), t.x);
-    EXPECT_EQ(r.u32(), t.y);
-    EXPECT_EQ(r.u32(), t.z);
-  }
-  return g;
-}
-
-/// Overwrites field `field` (0 x, 1 y, 2 z) of triple `k` of the golden v2
-/// level with `value` and expects the level factory to reject the load.
-void expect_patched_v2_zeta_rejected(const std::string& tag, std::size_t k,
-                                     std::size_t field, std::uint32_t value) {
-  TempFile file("zeta_v2_" + tag);
-  GoldenV2Level g = golden_v2_level();
-  ASSERT_LT(k, g.triples.size());
-  put_u32(g.bytes, g.triples_at + 12 * k + 4 * field, value);
-  restamp_checksum(g.bytes);
-  expect_labeling_rejected(file.path(), g.bytes, "zeta: triple ");
-}
-
-TEST(SnapshotCorruption, ZetaTinyLabelingLoadsUnpatched) {
-  // The control for the v2 cases below: the committed v2 labeling, its
-  // checksum restamped but its bytes untouched, loads through the triple
-  // reader with the fixture's labels.
-  TempFile file("zeta_v2_control");
-  GoldenV2Level g = golden_v2_level();
-  ASSERT_GE(g.triples.size(), 2u);
-  restamp_checksum(g.bytes);
-  dump(file.path(), g.bytes);
-  SnapshotInfo info;
-  const DistanceLabeling loaded = load_labeling(file.path(), nullptr, &info);
-  EXPECT_EQ(info.version, kSnapshotVersionV2);
-  check_golden_labels(loaded, LabelingFixture(kGoldenLabelingN).dls);
-}
-
-TEST(SnapshotCorruption, ZetaDecreasingXRejected) {
-  const GoldenV2Level g = golden_v2_level();
-  std::size_t k = 1;
-  while (k < g.triples.size() && g.triples[k - 1].x == 0) ++k;
-  ASSERT_LT(k, g.triples.size()) << "the level has a single row";
-  expect_patched_v2_zeta_rejected("x", k, 0, g.triples[k - 1].x - 1);
-}
-
-TEST(SnapshotCorruption, ZetaDecreasingYWithinARowRejected) {
-  const GoldenV2Level g = golden_v2_level();
-  std::size_t k = 1;
-  while (k < g.triples.size() && g.triples[k].x != g.triples[k - 1].x) ++k;
-  ASSERT_LT(k, g.triples.size()) << "no row holds two entries";
-  // Entry k - 1 gets a larger y than entry k, which follows it in the row.
-  expect_patched_v2_zeta_rejected("y", k - 1, 1, g.triples[k].y + 1);
-}
-
-TEST(SnapshotCorruption, ZetaIndexAtOrAboveHostsRejected) {
-  const GoldenV2Level g = golden_v2_level();
-  const auto hosts = static_cast<std::uint32_t>(g.hosts);
-  expect_patched_v2_zeta_rejected("x_hosts", g.triples.size() - 1, 0, hosts);
-  expect_patched_v2_zeta_rejected("z_hosts", 0, 2, hosts);
-}
-
-TEST(SnapshotCorruption, ZetaLevelCountCapped) {
-  // Every level holds one row offset per host however few entries it has,
-  // so a raised level count is refused by structure (fewer than 32 levels
-  // for u32 node ids), not only by the bytes left to back it.
-  TempFile file("zeta_v2_levels");
-  GoldenV2Level g = golden_v2_level();
-  g.bytes[g.levels_at] = 32;
-  restamp_checksum(g.bytes);
-  expect_labeling_rejected(file.path(), g.bytes, "32 zeta levels");
-}
-
 /// A two-label labeling over three hosts each, whose label 0 carries one
 /// zeta level of three entries, (x, y, z) = (0,1,2) (1,0,1) (1,2,0).
 DistanceLabeling tiny_labeling() {
@@ -1454,45 +1239,39 @@ DistanceLabeling tiny_labeling() {
                                       std::move(labels));
 }
 
-/// tiny_labeling()'s level as v3 writes it: the entry count 3; row 0 of
-/// length 1 (y gap 1, z 2); row 1 of length 2 (gaps 0 and 2, z 1 and 0);
-/// row 2 of length 0.
-const std::vector<std::uint8_t> kTinyLevelV3 = {3, 1, 1, 2, 2, 0, 1, 2, 0, 0};
+/// tiny_labeling()'s level as write_label writes it: the entry count 3;
+/// row 0 of length 1 (y gap 1, z 2); row 1 of length 2 (gaps 0 and 2, z 1
+/// and 0); row 2 of length 0.
+const std::vector<std::uint8_t> kTinyLevel = {3, 1, 1, 2, 2, 0, 1, 2, 0, 0};
 
-/// tiny_labeling() saved as v3 with its level's bytes replaced by `level`
-/// (the header's payload length and checksum follow).
+/// tiny_labeling() saved with its level's bytes replaced by `level` (the
+/// header's payload length and checksum follow).
 std::vector<char> tiny_labeling_with_level(
     const std::string& path, const std::vector<std::uint8_t>& level) {
   save_labeling(tiny_labeling(), path);
   std::vector<char> bytes = slurp(path);
   const std::size_t at = label0_offsets(ScenarioSpec{}, 3).level_at;
   const std::vector<char> saved(bytes.begin() + at,
-                                bytes.begin() + at + kTinyLevelV3.size());
-  EXPECT_EQ(saved, std::vector<char>(kTinyLevelV3.begin(), kTinyLevelV3.end()))
-      << "the v3 level encoding changed";
-  bytes.erase(bytes.begin() + at, bytes.begin() + at + kTinyLevelV3.size());
-  bytes.insert(bytes.begin() + at, level.begin(), level.end());
-  const std::uint64_t payload = bytes.size() - kSnapshotHeaderBytes;
-  for (std::size_t i = 0; i < 8; ++i) {  // the header's payload length
-    bytes[16 + i] = static_cast<char>(payload >> (8 * i));
-  }
-  restamp_checksum(bytes);
+                                bytes.begin() + at + kTinyLevel.size());
+  EXPECT_EQ(saved, std::vector<char>(kTinyLevel.begin(), kTinyLevel.end()))
+      << "the level encoding changed";
+  splice_payload(bytes, at, kTinyLevel.size(), level);
   return bytes;
 }
 
-void expect_v3_level_rejected(const std::string& tag,
-                              const std::vector<std::uint8_t>& level,
-                              const std::string& want) {
-  TempFile file("zeta_v3_" + tag);
+void expect_level_rejected(const std::string& tag,
+                           const std::vector<std::uint8_t>& level,
+                           const std::string& want) {
+  TempFile file("zeta_" + tag);
   expect_labeling_rejected(file.path(),
                            tiny_labeling_with_level(file.path(), level), want);
 }
 
 TEST(SnapshotCorruption, ZetaRowsTinyLabelingLoadsUnpatched) {
-  // The control for the v3 cases below: the level spliced back in as it
-  // was loads and decodes.
-  TempFile file("zeta_v3_control");
-  dump(file.path(), tiny_labeling_with_level(file.path(), kTinyLevelV3));
+  // The control for the cases below: the level spliced back in as it was
+  // loads and decodes.
+  TempFile file("zeta_control");
+  dump(file.path(), tiny_labeling_with_level(file.path(), kTinyLevel));
   SnapshotInfo info;
   const DistanceLabeling dls = load_labeling(file.path(), nullptr, &info);
   EXPECT_EQ(info.version, kSnapshotVersion);
@@ -1502,40 +1281,43 @@ TEST(SnapshotCorruption, ZetaRowsTinyLabelingLoadsUnpatched) {
 }
 
 TEST(SnapshotCorruption, ZetaRowsZAtOrAboveHostsRejected) {
-  expect_v3_level_rejected("z", {3, 1, 1, 3, 2, 0, 1, 2, 0, 0},
-                           "zeta z=3 in row 0 at or above 3 hosts");
+  expect_level_rejected("z", {3, 1, 1, 3, 2, 0, 1, 2, 0, 0},
+                        "zeta z=3 in row 0 at or above 3 hosts");
 }
 
 TEST(SnapshotCorruption, ZetaRowsPastTheEntryCountRejected) {
   // Row 1 claims three of the two entries left; then rows that sum to
   // fewer entries than the count promises.
-  expect_v3_level_rejected("rows_over", {3, 1, 1, 2, 3, 0, 1, 2, 0, 0},
-                           "zeta rows run past the level's 3 entries");
-  expect_v3_level_rejected("rows_under", {4, 1, 1, 2, 2, 0, 1, 2, 0, 0},
-                           "zeta rows hold 3 of the level's 4 entries");
+  expect_level_rejected("rows_over", {3, 1, 1, 2, 3, 0, 1, 2, 0, 0},
+                        "zeta rows run past the level's 3 entries");
+  expect_level_rejected("rows_under", {4, 1, 1, 2, 2, 0, 1, 2, 0, 0},
+                        "zeta rows hold 3 of the level's 4 entries");
 }
 
 TEST(SnapshotCorruption, ZetaRowsImplausibleEntryCountRejected) {
   // An entry count of 2^40, which the bytes left cannot back, is refused
   // before anything is sized from it.
   std::vector<std::uint8_t> level = {0x80, 0x80, 0x80, 0x80, 0x80, 0x20};
-  level.insert(level.end(), kTinyLevelV3.begin() + 1, kTinyLevelV3.end());
-  expect_v3_level_rejected("count", level, "implausible zeta entry count");
+  level.insert(level.end(), kTinyLevel.begin() + 1, kTinyLevel.end());
+  expect_level_rejected("count", level, "implausible zeta entry count");
 }
 
 TEST(SnapshotCorruption, ZetaRowsYPastU32Rejected) {
   // A first gap of 2^32, then a row whose gaps 1 and 2^32 - 1 sum past u32.
-  expect_v3_level_rejected(
+  expect_level_rejected(
       "y_first", {3, 1, 0x80, 0x80, 0x80, 0x80, 0x10, 2, 2, 0, 1, 2, 0, 0},
       "zeta y past u32 in row 0");
-  expect_v3_level_rejected(
+  expect_level_rejected(
       "y_sum", {3, 1, 1, 2, 2, 1, 1, 0xff, 0xff, 0xff, 0xff, 0x0f, 0, 0},
       "zeta y past u32 in row 1");
 }
 
 TEST(SnapshotCorruption, ZetaRowsLevelCountCapped) {
-  // The committed v3 labeling: enough bytes left to back 32 level counts.
-  TempFile file("zeta_v3_levels");
+  // Every level holds one row offset per host however few entries it has,
+  // so a raised level count is refused by structure (fewer than 32 levels
+  // for u32 node ids), not only by the bytes left to back it. The
+  // committed labeling has enough bytes left to back 32 level counts.
+  TempFile file("zeta_levels");
   std::vector<char> bytes = slurp(golden_path("golden_labeling_v3.snapshot"));
   const LabelingFixture fx(kGoldenLabelingN);
   const DlsLabel& label = fx.dls.label(0);
@@ -1553,11 +1335,11 @@ TEST(SnapshotCorruption, ZetaRowsOverlongVarintRejected) {
   std::vector<std::uint8_t> eleven = {0x83};
   eleven.insert(eleven.end(), 9, 0x80);
   eleven.push_back(0x00);
-  eleven.insert(eleven.end(), kTinyLevelV3.begin() + 1, kTinyLevelV3.end());
-  expect_v3_level_rejected("varint_11", eleven, "varint longer than 10 bytes");
+  eleven.insert(eleven.end(), kTinyLevel.begin() + 1, kTinyLevel.end());
+  expect_level_rejected("varint_11", eleven, "varint longer than 10 bytes");
   std::vector<std::uint8_t> padded = {0x83, 0x00};
-  padded.insert(padded.end(), kTinyLevelV3.begin() + 1, kTinyLevelV3.end());
-  expect_v3_level_rejected("varint_padded", padded, "ends in a zero byte");
+  padded.insert(padded.end(), kTinyLevel.begin() + 1, kTinyLevel.end());
+  expect_level_rejected("varint_padded", padded, "ends in a zero byte");
 }
 
 // --- engine ----------------------------------------------------------------

@@ -244,7 +244,8 @@ TEST(SpecWire, RoundTripsAllFields) {
 }
 
 TEST(SpecWire, EmptyFamilyRoundTrips) {
-  // The "unknown provenance" spec (v1 snapshots) is wire-representable.
+  // The "unknown provenance" spec (an artifact saved without a recipe) is
+  // wire-representable.
   WireWriter w;
   write_spec(w, ScenarioSpec{});
   WireReader r(w.bytes());

@@ -516,42 +516,6 @@ TEST(StreamingSnapshot, TruncationAndTrailingGarbageFail) {
   EXPECT_THROW(load_rings(snap.path()), Error);
 }
 
-TEST(StreamingSnapshot, V1RingsStillLoad) {
-  // Nothing writes v1 any more, but old files in the wild carry no
-  // embedded spec and the v1 checksum domain: the streaming loader must
-  // still read the committed v1 fixture, and a resave carries it forward
-  // as v2 with the same rings.
-  const std::string v1_path =
-      std::string(RON_TEST_DATA_DIR) + "/golden_rings_v1.snapshot";
-  SnapshotInfo info;
-  ScenarioSpec spec;
-  const RingsOfNeighbors rings = load_rings(v1_path, &spec, &info);
-  EXPECT_EQ(info.version, kSnapshotVersionV1);
-  EXPECT_EQ(info.kind, SnapshotKind::kRings);
-  EXPECT_TRUE(spec.family.empty());
-  ASSERT_EQ(rings.n(), 6u);
-  const std::size_t want_rings[] = {2, 1, 1, 0, 0, 1};
-  for (NodeId u = 0; u < rings.n(); ++u) {
-    ASSERT_EQ(rings.num_rings(u), want_rings[u]) << "u=" << u;
-  }
-
-  TempFile snap("v1_resaved");
-  save_rings(rings, snap.path(), spec);
-  EXPECT_EQ(inspect_snapshot(snap.path()).version, kSnapshotVersion);
-  const RingsOfNeighbors loaded = load_rings(snap.path());
-  ASSERT_EQ(loaded.n(), rings.n());
-  for (NodeId u = 0; u < loaded.n(); ++u) {
-    ASSERT_EQ(loaded.num_rings(u), rings.num_rings(u));
-    for (std::size_t i = 0; i < loaded.num_rings(u); ++i) {
-      EXPECT_EQ(loaded.ring_scale(u, i), rings.ring_scale(u, i));
-      std::vector<NodeId> got, want;
-      loaded.visit_ring(u, i, [&](NodeId v) { got.push_back(v); });
-      rings.visit_ring(u, i, [&](NodeId v) { want.push_back(v); });
-      EXPECT_EQ(got, want) << "u=" << u << " ring=" << i;
-    }
-  }
-}
-
 // --- Parallel ring builds ----------------------------------------------------
 //
 // RingsOfNeighbors::build samples nodes over contiguous slices on several

@@ -196,7 +196,7 @@ void print_label_stats(std::ostream& os, const DistanceLabeling& dls) {
 
 void print_scenario_line(std::ostream& os, const ScenarioSpec& spec) {
   if (spec.family.empty()) {
-    os << "  scenario: (none — v1 snapshot without an embedded recipe)\n";
+    os << "  scenario: (none — saved without a recipe)\n";
   } else {
     os << "  scenario: " << spec.to_string() << "\n";
   }
@@ -598,41 +598,40 @@ struct LocateState {
 /// exactly the one `churn` verified).
 LocateState load_locate_state(const std::string& path, const Args& args) {
   LocateState state;
-  const std::uint32_t kind = peek_snapshot_kind(path);
-  if (kind == static_cast<std::uint32_t>(SnapshotKind::kChurnBundle)) {
+  SnapshotInfo info;
+  LoadedChurnBundle recipe = load_overlay_recipe(path, &info);
+  if (info.kind == SnapshotKind::kChurnBundle) {
     if (args.has("scenario")) {
       throw UsageError(
           "locate: --scenario cannot override a churn bundle's recipe (the "
           "trace is only valid against the embedded scenario)");
     }
-    LoadedChurnBundle bundle = load_churn_bundle(path);
     // Churn replay goes through OverlayMutator, whose incremental repair
     // walks full distance-sorted rows — dense backend by construction.
     state.builder = std::make_unique<ScenarioBuilder>(
-        bundle.spec, thread_count(args), ProxBackend::kDense);
+        recipe.spec, thread_count(args), ProxBackend::kDense);
     state.mutator = std::make_unique<OverlayMutator>(
         state.builder->prox(), state.builder->spec(),
-        std::move(bundle.initial));
-    state.mutator->apply(bundle.trace);
+        std::move(recipe.initial));
+    state.mutator->apply(recipe.trace);
     state.epoch = state.mutator->commit();
     return state;
   }
-  LoadedDirectory loaded = load_directory(path);
   // The embedded recipe is the default; --scenario overrides it (e.g. to
   // relocate the same directory over a different ring profile).
   const ScenarioSpec spec = args.has("scenario")
                                 ? ScenarioSpec::parse(args.get("scenario", ""))
-                                : loaded.spec;
+                                : recipe.spec;
   state.builder = std::make_unique<ScenarioBuilder>(spec, thread_count(args),
                                                     prox_backend(args));
-  RON_CHECK(state.builder->n() == loaded.directory.n(),
+  RON_CHECK(state.builder->n() == recipe.initial.n(),
             "locate: scenario rebuilds n = " << state.builder->n()
                                              << ", snapshot directory has n = "
-                                             << loaded.directory.n());
+                                             << recipe.initial.n());
   auto epoch = std::make_shared<LocationEpoch>();
   epoch->id = 1;
   auto directory =
-      std::make_shared<const ObjectDirectory>(std::move(loaded.directory));
+      std::make_shared<const ObjectDirectory>(std::move(recipe.initial));
   // The builder outlives the epoch (LocateState declares it first), so the
   // service borrows its rings directly — no point deep-copying the whole
   // ring structure; epoch->rings stays null, as LocationEpoch allows when
@@ -767,20 +766,8 @@ int cmd_churn(const Args& args) {
 
   // Load the starting state: a directory snapshot starts a fresh trace, a
   // churn bundle is replayed and its trace extended.
-  ScenarioSpec spec;
-  ObjectDirectory initial(1);
-  ChurnTrace prior;
-  const std::uint32_t kind = peek_snapshot_kind(path);
-  if (kind == static_cast<std::uint32_t>(SnapshotKind::kChurnBundle)) {
-    LoadedChurnBundle bundle = load_churn_bundle(path);
-    spec = std::move(bundle.spec);
-    initial = std::move(bundle.initial);
-    prior = std::move(bundle.trace);
-  } else {
-    LoadedDirectory loaded = load_directory(path);
-    spec = std::move(loaded.spec);
-    initial = std::move(loaded.directory);
-  }
+  SnapshotInfo info;
+  auto [spec, initial, prior] = load_overlay_recipe(path, &info);
 
   // Two distinct seeds, resolved BEFORE the mutator exists:
   //   - the MAINTENANCE seed (spec.churn_seed) drives every ring-repair /
@@ -792,8 +779,7 @@ int cmd_churn(const Args& args) {
   //   - the GENERATOR seed (--churn-seed, default spec.churn_seed) only
   //     shapes which ops get generated — the ops themselves travel in the
   //     trace, so it needs no provenance.
-  const bool extends_bundle =
-      kind == static_cast<std::uint32_t>(SnapshotKind::kChurnBundle);
+  const bool extends_bundle = info.kind == SnapshotKind::kChurnBundle;
   const std::uint64_t generator_seed = parse_u64(
       args.get("churn-seed", std::to_string(spec.churn_seed)),
       "--churn-seed");
