@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark): per-query costs — DLS decoding,
-// triangulation estimates, routing steps, small-world hops — and the load
-// of a labeling snapshot, the start-up cost of a served oracle.
+// triangulation estimates, routing steps, small-world hops — the load of a
+// labeling snapshot, the start-up cost of a served oracle, and the save of
+// an oracle snapshot, whose label prune is its build-side cost.
 #include <benchmark/benchmark.h>
 #include <unistd.h>
 
@@ -21,6 +22,7 @@
 #include "net/nets.h"
 #include "oracle/snapshot.h"
 #include "routing/basic_scheme.h"
+#include "scenario/scenario_spec.h"
 #include "smallworld/rings_model.h"
 
 namespace ron {
@@ -69,6 +71,25 @@ void BM_LabelingLoad(benchmark::State& state) {
   std::remove(path.c_str());
 }
 BENCHMARK(BM_LabelingLoad)->Unit(benchmark::kMillisecond);
+
+// save_oracle decodes every ordered pair to prune the labels before it
+// writes them: this is the build-side cost of the smaller served oracle.
+void BM_OracleSave(benchmark::State& state) {
+  static LabelFixture fx;
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("ron_bm_oracle_save." + std::to_string(::getpid()) + ".snapshot"))
+          .string();
+  // The recipe of the fixture's metric, random_cube_metric(128, 2, 3).
+  const ScenarioSpec spec = ScenarioSpec::parse("metric=euclid,n=128,seed=3");
+  for (auto _ : state) {
+    save_oracle(spec, fx.metric.name(), fx.dls, path);
+  }
+  state.counters["snapshot_bytes"] =
+      static_cast<double>(std::filesystem::file_size(path));
+  std::remove(path.c_str());
+}
+BENCHMARK(BM_OracleSave)->Unit(benchmark::kMillisecond);
 
 void BM_TriangulationEstimate(benchmark::State& state) {
   static LabelFixture fx;

@@ -1,10 +1,12 @@
 #include "labeling/distance_labels.h"
 
 #include <algorithm>
+#include <atomic>
 #include <unordered_map>
 
 #include "common/bits.h"
 #include "common/check.h"
+#include "common/parallel.h"
 
 namespace ron {
 
@@ -26,8 +28,13 @@ const DlsZetaEntry* row_find(std::span<const DlsZetaEntry> row,
 
 /// Walks b's zooming chain through both labels, joining zeta rows at every
 /// level to harvest common-neighbor candidates. `upper` is improved in
-/// place; returns the number of candidates seen.
-std::size_t walk_chain(const DlsLabel& a, const DlsLabel& b, Dist& upper) {
+/// place; returns the number of candidates seen. `read(j, ea, eb)` is
+/// called with the level and the entry of a and of b for every join match
+/// and for every chain step taken: the only entries the walk's result
+/// depends on (DistanceLabeling::pruned).
+template <typename OnRead>
+std::size_t walk_chain(const DlsLabel& a, const DlsLabel& b, Dist& upper,
+                       OnRead&& read) {
   std::size_t candidates = 0;
   // phi-index of the current chain element f_{b,j} in a's and b's labels.
   std::uint32_t ia = b.zoom0;
@@ -58,6 +65,7 @@ std::size_t walk_chain(const DlsLabel& a, const DlsLabel& b, Dist& upper) {
                         << "/" << b.host_dist.size());
         upper = std::min(upper, a.host_dist[za] + b.host_dist[zb]);
         ++candidates;
+        read(j, ra[p], rb[q]);
         ++p;
         ++q;
       }
@@ -68,6 +76,7 @@ std::size_t walk_chain(const DlsLabel& a, const DlsLabel& b, Dist& upper) {
     const DlsZetaEntry* na = row_find(ra, y);
     const DlsZetaEntry* nb = row_find(rb, y);
     if (na == nullptr || nb == nullptr) break;
+    read(j, *na, *nb);
     ia = na->z;
     ib = nb->z;
   }
@@ -251,10 +260,96 @@ DlsEstimate DistanceLabeling::estimate(const DlsLabel& a, const DlsLabel& b) {
     out.candidates = 1;
     return out;
   }
-  out.candidates += walk_chain(a, b, out.upper);
-  out.candidates += walk_chain(b, a, out.upper);
+  const auto no_read = [](std::size_t, const DlsZetaEntry&,
+                          const DlsZetaEntry&) {};
+  out.candidates += walk_chain(a, b, out.upper, no_read);
+  out.candidates += walk_chain(b, a, out.upper, no_read);
   RON_CHECK(out.upper < kInfDist, "decode produced no common neighbor");
   return out;
+}
+
+DistanceLabeling DistanceLabeling::pruned(unsigned num_threads) const {
+  const std::size_t n = labels_.size();
+  const unsigned workers = resolve_workers(n, num_threads);
+  // One read flag per zeta entry, level after level. Not a char type, so
+  // a flag store aliases no entry and the walk keeps its rows in registers.
+  enum class Flag : std::uint8_t { kUnread, kRead };
+  std::size_t entries = 0;
+  for (const DlsLabel& lab : labels_) {
+    for (const DlsZeta& zeta : lab.zeta) entries += zeta.size();
+  }
+  std::vector<Flag> flags(entries, Flag::kUnread);
+  // Label u's level j is levels[level_begin[u] + j]: its first entry and
+  // its first flag, so an entry's flag is one subtraction away.
+  struct Level {
+    const DlsZetaEntry* first;
+    Flag* flags;
+  };
+  std::vector<std::size_t> level_begin(n + 1, 0);
+  std::vector<Level> levels;
+  Flag* next = flags.data();
+  for (std::size_t u = 0; u < n; ++u) {
+    for (const DlsZeta& zeta : labels_[u].zeta) {
+      levels.push_back(Level{zeta.entries().data(), next});
+      next += zeta.size();
+    }
+    level_begin[u + 1] = levels.size();
+  }
+
+  // walk_chain(a, b) over every ordered pair a != b is every walk that
+  // estimate() can make; each walk flags what it reads in both labels, so
+  // a worker also flags labels outside its slice. Flags only ever go from
+  // unread to read, so relaxed atomics suffice: no flag is used until
+  // run_slices has joined every worker. Loading first keeps the store,
+  // and its cache-line transfer, to the first read of an entry.
+  auto mark = [](const Level& level, const DlsZetaEntry& e) {
+    std::atomic_ref<Flag> flag(level.flags[&e - level.first]);
+    if (flag.load(std::memory_order_relaxed) == Flag::kUnread) {
+      flag.store(Flag::kRead, std::memory_order_relaxed);
+    }
+  };
+  run_slices(n, workers, [&](unsigned, std::size_t begin, std::size_t end) {
+    for (std::size_t a = begin; a < end; ++a) {
+      const Level* la = levels.data() + level_begin[a];
+      // b runs from a + 1 around to a - 1: workers start in their own
+      // slices instead of all flagging label 0, then 1, at the same time.
+      for (std::size_t k = 1; k < n; ++k) {
+        const std::size_t b = (a + k) % n;
+        const Level* lb = levels.data() + level_begin[b];
+        Dist upper = kInfDist;
+        walk_chain(labels_[a], labels_[b], upper,
+                   [&](std::size_t j, const DlsZetaEntry& ea,
+                       const DlsZetaEntry& eb) {
+                     mark(la[j], ea);
+                     mark(lb[j], eb);
+                   });
+      }
+    }
+  });
+
+  std::vector<DlsLabel> kept(n);
+  run_slices(n, workers, [&](unsigned, std::size_t begin, std::size_t end) {
+    std::vector<DlsTriple> triples;  // one level, reused
+    for (std::size_t u = begin; u < end; ++u) {
+      const DlsLabel& lab = labels_[u];
+      DlsLabel& out = kept[u] =
+          DlsLabel{lab.id, lab.host_dist, {}, lab.zoom0, lab.zoom};
+      for (std::size_t j = 0; j < lab.zeta.size(); ++j) {
+        const DlsZeta& zeta = lab.zeta[j];
+        const Flag* flag = levels[level_begin[u] + j].flags;
+        triples.clear();
+        for (std::uint32_t x = 0; x < zeta.rows(); ++x) {
+          for (const DlsZetaEntry& e : zeta.row(x)) {
+            if (*flag++ == Flag::kRead) {
+              triples.push_back(DlsTriple{x, e.y, e.z});
+            }
+          }
+        }
+        out.zeta.push_back(DlsZeta::from_triples(triples, zeta.rows()));
+      }
+    }
+  });
+  return from_parts(codec_, psi_bits_, id_bits_, std::move(kept));
 }
 
 std::uint64_t DistanceLabeling::label_bits(NodeId u) const {

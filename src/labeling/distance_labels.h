@@ -33,6 +33,15 @@
 // best upper bound min(d_uw + d_vw) is a (1+O(delta))-approximation of d.
 // Only the upper bound is returned: with rounded distances the difference
 // |d'_uw - d'_vw| is not a valid lower bound (the paper's footnote 11).
+//
+// A decode reads a translation-map entry only when the join matches it
+// with an entry of the other label's row, or when it is a chain step. On
+// a clustered n=480 labeling 45% of the entries are read by no ordered
+// pair. DistanceLabeling::pruned() drops them, and the oracle snapshot
+// (save_oracle) stores its result. The answers stay the same, but the
+// pruned labels are no longer the Theorem 3.4 construction. So tests
+// that recompute labels from the definition, the labeling snapshot
+// (save_labeling) and the simulator all keep the construction.
 #pragma once
 
 #include <cstdint>
@@ -90,6 +99,8 @@ class DlsZeta {
     return {entries_.data() + row_begin_[x],
             entries_.data() + row_begin_[x + 1]};
   }
+  /// Every entry, row after row; rows are subspans of it.
+  std::span<const DlsZetaEntry> entries() const { return entries_; }
 
   friend bool operator==(const DlsZeta&, const DlsZeta&) = default;
 
@@ -137,6 +148,27 @@ class DistanceLabeling {
   /// Label-only decoding; symmetric in its arguments. Returns 0 for equal
   /// ids. The upper bound always satisfies d <= upper <= (1+O(delta)) d.
   static DlsEstimate estimate(const DlsLabel& a, const DlsLabel& b);
+
+  /// This labeling with only the translation-map entries that some decode
+  /// reads: the entries a join matches and the chain steps, collected by
+  /// decoding all n^2 ordered pairs. So the result holds for any query mix.
+  /// Host arrays, row counts, zooming chains, the codec, psi_bits and
+  /// id_bits are kept as they are.
+  ///
+  /// The prune is exact: estimate() returns the same upper bound and
+  /// candidate count on every pair. A row is sorted by y, and the join is
+  /// a merge, so an entry no pair matches can go without changing what
+  /// the other entries match. With repeated y in a row, the k-th copy
+  /// matches only where the other row holds more than k copies, so the
+  /// copies kept are a prefix. The chain step finds the first entry with
+  /// its y, and that entry is kept because the step read it. A step that
+  /// found its entry in only one label stops the chain, and still stops
+  /// it when that entry is gone. The pruned labeling reads the same
+  /// entries, so pruning it again changes nothing.
+  ///
+  /// Costs one walk per ordered pair, split over `num_threads` workers
+  /// (0 = one per available CPU, see common/parallel.h).
+  DistanceLabeling pruned(unsigned num_threads = 0) const;
 
   /// Honest payload bits of u's label under the paper's encoding.
   std::uint64_t label_bits(NodeId u) const;

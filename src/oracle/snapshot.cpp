@@ -483,7 +483,7 @@ void save_oracle(const ScenarioSpec& spec, const std::string& metric_name,
   WireStreamWriter w(path, kind_id(SnapshotKind::kOracle));
   write_spec(w, spec);
   w.str(metric_name);
-  write_labeling_payload(w, dls);
+  write_labeling_payload(w, dls.pruned());
   w.finish();
 }
 

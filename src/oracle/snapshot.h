@@ -37,7 +37,10 @@
 // loader expands each zeta level's rows to triples as they stream in and
 // builds the level through the same validating DlsZeta::from_triples the
 // builder uses, holding one level's triples at a time and never a triple
-// copy of the whole labeling.
+// copy of the whole labeling. The oracle bundle stores its labeling pruned
+// to the entries some decode reads (DistanceLabeling::pruned), which
+// answers every pair as the construction does; the labeling section stores
+// the construction. Both use the same label encoding and loader.
 // NeighborSystem is a *builder* — it holds references to the ProximityIndex
 // and net machinery it was derived from — so it loads as
 // NeighborSystemSnapshot: the same read accessors over the materialized
@@ -183,6 +186,8 @@ NeighborSystemSnapshot load_neighbor_system(const std::string& path,
 
 // --- DistanceLabeling ------------------------------------------------------
 
+/// Stores the Theorem 3.4 construction as built, every entry kept (the
+/// oracle bundle stores it pruned, see save_oracle).
 void save_labeling(const DistanceLabeling& dls, const std::string& path,
                    const ScenarioSpec& spec = {});
 DistanceLabeling load_labeling(const std::string& path,
@@ -214,7 +219,12 @@ struct LoadedOracle {
   DistanceLabeling labeling;
 };
 
-/// spec.n must equal dls.n().
+/// Writes dls.pruned(): only the translation-map entries some decode
+/// reads, so the served oracle loads, holds and merges fewer entries and
+/// answers every pair bit-identically to `dls`. The price is one decode
+/// walk per ordered pair at save time, on every available CPU (0.3 s of
+/// CPU for the clustered n=480 oracle). save_labeling stores the
+/// construction itself. spec.n must equal dls.n().
 void save_oracle(const ScenarioSpec& spec, const std::string& metric_name,
                  const DistanceLabeling& dls, const std::string& path);
 /// `info`, when non-null, receives the validated header fields — a combined

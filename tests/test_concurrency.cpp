@@ -17,6 +17,9 @@
 //   - multi-threaded ring overlay construction, mutable and sealed
 //     (RingsOfNeighbors::build: per-slice rings or sealed parts handed to
 //     the spawning thread at join, results bit-identical to a serial build),
+//   - multi-threaded label pruning (DistanceLabeling::pruned: workers flag
+//     entries of every label through relaxed atomic_ref flags, read after
+//     the join; the result is bit-identical to a serial prune),
 //   - concurrent const readers (estimate/locate/current_epoch) against a
 //     dispatching thread and a maintenance thread.
 // The deterministic single-thread tests at the bottom pin the LruShard
@@ -266,6 +269,28 @@ TEST(ConcurrencyStress, ParallelRingBuildsAreBitIdenticalToSerial) {
         want.visit_neighbors(u, [&](NodeId v) { b.push_back(v); });
         ASSERT_EQ(a, b) << "u=" << u;
       }
+    }
+  }
+}
+
+// --- parallel label pruning -------------------------------------------------
+
+TEST(ConcurrencyStress, ParallelLabelPruneIsBitIdenticalToSerial) {
+  // Every worker flags entries of labels outside its slice (relaxed
+  // atomic_ref flags, read only after the join), so the flag set, and with
+  // it the pruned labeling, must not depend on the worker count.
+  ScenarioBuilder builder(
+      ScenarioSpec::parse("metric=clustered,n=96,seed=3,per_cluster=16"),
+      /*num_threads=*/1);
+  const DistanceLabeling& built = builder.labeling();
+  const DistanceLabeling serial = built.pruned(1);
+  for (std::size_t round = 0; round < kProxBuilds; ++round) {
+    const DistanceLabeling parallel = built.pruned(4);
+    ASSERT_EQ(parallel.n(), serial.n());
+    EXPECT_EQ(parallel.psi_bits(), serial.psi_bits());
+    EXPECT_EQ(parallel.id_bits(), serial.id_bits());
+    for (NodeId u = 0; u < serial.n(); ++u) {
+      ASSERT_EQ(parallel.label(u), serial.label(u)) << "label " << u;
     }
   }
 }

@@ -4,8 +4,9 @@
 // must follow the O_{alpha,delta}(log n)(log log Delta) shape on the
 // geometric line (the regime the theorem targets). The row-indexed decoder
 // is checked against the binary-search decoder over sorted triples it
-// replaced, kept below as a reference, and a snapshot must carry the
-// labels in at most a quarter of the bytes of the triple form.
+// replaced, kept below as a reference; the pruned labeling must keep
+// exactly the entries that reference decoder reads; and a snapshot must
+// carry the labels in at most a quarter of the bytes of the triple form.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -231,6 +232,10 @@ constexpr std::uint32_t kRefNull = 0xffffffffu;
 
 using RefZeta = std::vector<std::vector<DlsTriple>>;  // per level, sorted
 
+/// Per level, one flag per triple of a RefZeta: the triples a decode read.
+using RefReads = std::vector<std::vector<bool>>;
+
+/// Index of the first triple of `zeta` with key (x, y), or kRefNull.
 std::uint32_t ref_lookup(const std::vector<DlsTriple>& zeta, std::uint32_t x,
                          std::uint32_t y) {
   auto it = std::lower_bound(
@@ -239,7 +244,7 @@ std::uint32_t ref_lookup(const std::vector<DlsTriple>& zeta, std::uint32_t x,
         return t.x != k.first ? t.x < k.first : t.y < k.second;
       });
   if (it == zeta.end() || it->x != x || it->y != y) return kRefNull;
-  return it->z;
+  return static_cast<std::uint32_t>(it - zeta.begin());
 }
 
 std::pair<std::size_t, std::size_t> ref_row(const std::vector<DlsTriple>& zeta,
@@ -254,8 +259,11 @@ std::pair<std::size_t, std::size_t> ref_row(const std::vector<DlsTriple>& zeta,
           static_cast<std::size_t>(hi - zeta.begin())};
 }
 
+/// `ar` and `br`, when given, receive the triples of az and bz that the
+/// walk reads: the pairs the join matches and the chain steps taken.
 std::size_t ref_walk(const DlsLabel& a, const RefZeta& az, const DlsLabel& b,
-                     const RefZeta& bz, Dist& upper) {
+                     const RefZeta& bz, Dist& upper, RefReads* ar = nullptr,
+                     RefReads* br = nullptr) {
   std::size_t candidates = 0;
   std::uint32_t ia = b.zoom0;
   std::uint32_t ib = b.zoom0;
@@ -277,6 +285,8 @@ std::size_t ref_walk(const DlsLabel& a, const RefZeta& az, const DlsLabel& b,
         upper = std::min(upper, a.host_dist[az[j][p].z] +
                                     b.host_dist[bz[j][q].z]);
         ++candidates;
+        if (ar != nullptr) (*ar)[j][p] = true;
+        if (br != nullptr) (*br)[j][q] = true;
         ++p;
         ++q;
       }
@@ -284,22 +294,25 @@ std::size_t ref_walk(const DlsLabel& a, const RefZeta& az, const DlsLabel& b,
     const std::uint32_t na = ref_lookup(az[j], ia, b.zoom[j]);
     const std::uint32_t nb = ref_lookup(bz[j], ib, b.zoom[j]);
     if (na == kRefNull || nb == kRefNull) break;
-    ia = na;
-    ib = nb;
+    if (ar != nullptr) (*ar)[j][na] = true;
+    if (br != nullptr) (*br)[j][nb] = true;
+    ia = az[j][na].z;
+    ib = bz[j][nb].z;
   }
   return candidates;
 }
 
 DlsEstimate ref_estimate(const DlsLabel& a, const RefZeta& az,
-                         const DlsLabel& b, const RefZeta& bz) {
+                         const DlsLabel& b, const RefZeta& bz,
+                         RefReads* ar = nullptr, RefReads* br = nullptr) {
   DlsEstimate out;
   if (a.id == b.id) {
     out.upper = 0.0;
     out.candidates = 1;
     return out;
   }
-  out.candidates += ref_walk(a, az, b, bz, out.upper);
-  out.candidates += ref_walk(b, bz, a, az, out.upper);
+  out.candidates += ref_walk(a, az, b, bz, out.upper, ar, br);
+  out.candidates += ref_walk(b, bz, a, az, out.upper, br, ar);
   return out;
 }
 
@@ -397,6 +410,95 @@ TEST(DistanceLabeling, RowIndexedDecodeEqualsReference) {
   p.clusters = 5;
   p.per_cluster = 10;
   expect_decode_equals_reference(clustered_metric(p, 19));
+}
+
+// --- pruning -------------------------------------------------------------------
+
+/// Every ordered pair decodes to the same upper bound and candidate count
+/// from `got` as from `want`.
+void expect_same_answers(const DistanceLabeling& got,
+                         const DistanceLabeling& want) {
+  ASSERT_EQ(got.n(), want.n());
+  for (NodeId u = 0; u < want.n(); ++u) {
+    for (NodeId v = 0; v < want.n(); ++v) {
+      const DlsEstimate a =
+          DistanceLabeling::estimate(got.label(u), got.label(v));
+      const DlsEstimate b =
+          DistanceLabeling::estimate(want.label(u), want.label(v));
+      ASSERT_EQ(a.upper, b.upper) << "(" << u << "," << v << ")";
+      ASSERT_EQ(a.candidates, b.candidates) << "(" << u << "," << v << ")";
+    }
+  }
+}
+
+void expect_prune_keeps_the_reference_reads(const MetricSpace& metric) {
+  DenseProximityIndex prox(metric);
+  NeighborSystem sys(prox, 0.25);
+  const DistanceLabeling built(sys);
+  const DistanceLabeling pruned = built.pruned();
+  const std::size_t n = prox.n();
+
+  // The read set, by the reference decoder over the triples recomputed
+  // from the definition, across every ordered pair.
+  std::vector<RefZeta> ref(n);
+  std::vector<RefReads> reads(n);
+  for (NodeId u = 0; u < n; ++u) {
+    ref[u] = ref_zeta(sys, u);
+    for (const auto& level : ref[u]) reads[u].emplace_back(level.size());
+  }
+  for (NodeId u = 0; u < n; ++u) {
+    for (NodeId v = 0; v < n; ++v) {
+      ref_estimate(built.label(u), ref[u], built.label(v), ref[v], &reads[u],
+                   &reads[v]);
+    }
+  }
+
+  std::size_t built_entries = 0;
+  std::size_t kept_entries = 0;
+  for (NodeId u = 0; u < n; ++u) {
+    RefZeta want(ref[u].size());
+    for (std::size_t j = 0; j < ref[u].size(); ++j) {
+      for (std::size_t k = 0; k < ref[u][j].size(); ++k) {
+        if (reads[u][j][k]) want[j].push_back(ref[u][j][k]);
+      }
+      built_entries += ref[u][j].size();
+      kept_entries += want[j].size();
+    }
+    const DlsLabel& a = built.label(u);
+    const DlsLabel& b = pruned.label(u);
+    ASSERT_EQ(flatten(b), want) << "label " << u;
+    // Everything but the entries stays as built.
+    EXPECT_EQ(b.id, a.id);
+    EXPECT_EQ(b.host_dist, a.host_dist) << "label " << u;
+    EXPECT_EQ(b.zoom0, a.zoom0) << "label " << u;
+    EXPECT_EQ(b.zoom, a.zoom) << "label " << u;
+    ASSERT_EQ(b.zeta.size(), a.zeta.size());
+    for (std::size_t j = 0; j < a.zeta.size(); ++j) {
+      EXPECT_EQ(b.zeta[j].rows(), a.zeta[j].rows());
+    }
+  }
+  // The prune drops entries here, and keeps some.
+  EXPECT_LT(kept_entries, built_entries);
+  EXPECT_GT(kept_entries, 0u);
+  EXPECT_EQ(pruned.psi_bits(), built.psi_bits());
+  EXPECT_EQ(pruned.id_bits(), built.id_bits());
+  EXPECT_EQ(pruned.codec().bits(), built.codec().bits());
+
+  const DistanceLabeling twice = pruned.pruned();
+  for (NodeId u = 0; u < n; ++u) {
+    ASSERT_EQ(twice.label(u), pruned.label(u)) << "label " << u;
+  }
+  expect_same_answers(pruned, built);
+}
+
+TEST(DistanceLabeling, PrunedKeepsExactlyTheEntriesTheReferenceDecodeReads) {
+  // The fixtures of RowIndexedDecodeEqualsReference.
+  expect_prune_keeps_the_reference_reads(random_cube_metric(48, 2, 41));
+  expect_prune_keeps_the_reference_reads(GeometricLineMetric(40, 2.0));
+  ClusteredParams p;
+  p.clusters = 5;
+  p.per_cluster = 10;
+  expect_prune_keeps_the_reference_reads(clustered_metric(p, 19));
 }
 
 // --- snapshot size ------------------------------------------------------------

@@ -286,6 +286,23 @@ struct LabelingFixture {
   DistanceLabeling dls;
 };
 
+/// Every ordered pair, self-pairs included, decodes to the same upper
+/// bound and candidate count from `got` as from `want`.
+void expect_same_answers(const DistanceLabeling& got,
+                         const DistanceLabeling& want) {
+  ASSERT_EQ(got.n(), want.n());
+  for (NodeId u = 0; u < want.n(); ++u) {
+    for (NodeId v = 0; v < want.n(); ++v) {
+      const DlsEstimate a =
+          DistanceLabeling::estimate(got.label(u), got.label(v));
+      const DlsEstimate b =
+          DistanceLabeling::estimate(want.label(u), want.label(v));
+      ASSERT_EQ(a.upper, b.upper) << "(" << u << "," << v << ")";
+      ASSERT_EQ(a.candidates, b.candidates) << "(" << u << "," << v << ")";
+    }
+  }
+}
+
 ObjectDirectory make_directory(std::size_t n) {
   ObjectDirectory dir(n);
   Rng rng(29);
@@ -480,9 +497,13 @@ TEST(SnapshotOracle, BundleRoundTripsSpecAndLabels) {
   const LoadedOracle loaded = load_oracle(file.path());
   EXPECT_EQ(loaded.spec, spec);
   EXPECT_EQ(loaded.metric_name, "euclid-48");
+  // The bundle stores the labels pruned to what some decode reads, and
+  // they answer every pair as the construction does.
+  const DistanceLabeling pruned = fx.dls.pruned();
   for (NodeId u = 0; u < fx.dls.n(); ++u) {
-    EXPECT_EQ(loaded.labeling.label(u), fx.dls.label(u));
+    EXPECT_EQ(loaded.labeling.label(u), pruned.label(u));
   }
+  expect_same_answers(loaded.labeling, fx.dls);
 }
 
 TEST(SnapshotChurnBundle, RoundTripsSpecDirectoryAndTrace) {
@@ -899,8 +920,9 @@ TEST(Wire, ReaderCopiedOffAStreamThrowsAtItsWindowEnd) {
 // committed bytes exactly, so any format change (or serialization that
 // stops being canonical) fails here before it ships. The rings, directory
 // and churn-bundle fixtures are built from literals (no RNG); the
-// labeling, neighbor-system and oracle fixtures hold
-// LabelingFixture(kGoldenLabelingN). A build reads only the format it
+// labeling and neighbor-system fixtures hold LabelingFixture(
+// kGoldenLabelingN), and the oracle fixture holds its labeling pruned
+// (save_oracle). A build reads only the format it
 // writes, so a format bump regenerates all six with
 //   RON_REGEN_GOLDEN=1 ./test_oracle --gtest_filter='Golden*'
 // and EveryCommittedFixtureIsCurrent fails until that is done and the
@@ -1077,7 +1099,9 @@ LoadedOracle load_golden_oracle(const std::string& file) {
   EXPECT_EQ(info.version, kSnapshotVersion);
   EXPECT_EQ(loaded.spec, golden_labeling_spec());
   EXPECT_EQ(loaded.metric_name, "random-cube");
-  check_golden_labels(loaded.labeling, fx.dls);
+  // save_oracle stores the labels pruned to what some decode reads.
+  check_golden_labels(loaded.labeling, fx.dls.pruned());
+  expect_same_answers(loaded.labeling, fx.dls);
   return loaded;
 }
 

@@ -485,9 +485,20 @@ TEST(RoundTrip, OracleBundleIsBitIdenticalAfterRebuild) {
   save_oracle(second.spec(), second.metric().name(), second.labeling(),
               b.path());
   EXPECT_EQ(slurp(a.path()), slurp(b.path()));
-  // And the loaded labeling answers bit-identically to the rebuilt one.
+  // The bundle holds the rebuilt labeling pruned to what some decode
+  // reads, and answers every pair bit-identically to the construction.
+  const DistanceLabeling pruned = second.labeling().pruned();
   for (NodeId u = 0; u < second.n(); ++u) {
-    EXPECT_EQ(loaded.labeling.label(u), second.labeling().label(u));
+    EXPECT_EQ(loaded.labeling.label(u), pruned.label(u));
+    for (NodeId v = 0; v < second.n(); ++v) {
+      const DlsEstimate got = DistanceLabeling::estimate(
+          loaded.labeling.label(u), loaded.labeling.label(v));
+      const DlsEstimate want = DistanceLabeling::estimate(
+          second.labeling().label(u), second.labeling().label(v));
+      EXPECT_EQ(got.upper, want.upper) << "(" << u << "," << v << ")";
+      EXPECT_EQ(got.candidates, want.candidates)
+          << "(" << u << "," << v << ")";
+    }
   }
 }
 

@@ -1,6 +1,7 @@
 # The shared CLI contract across all three tools (cli_util.h): a malformed
 # command line exits 2 with usage on stderr; a runtime failure exits 1 with
-# the offending token named and NO usage dump. One script covers
+# the offending token named, NO usage dump, and no RON_CHECK expression or
+# source location. One script covers
 # ron_served, ron_loadgen and a ron_oracle spot check so the three parsers
 # cannot drift apart (scenario_cli_errors_test.cmake pins ron_oracle's full
 # matrix).
@@ -29,6 +30,12 @@ function(expect_failure exe want_rc want_usage want_err)
   if(NOT step_stderr MATCHES "${want_err}")
     message(FATAL_ERROR "'${tool} ${ARGN}' stderr did not match "
       "'${want_err}':\n${step_stderr}")
+  endif()
+  # A runtime error reads as its message alone: no failed C++ expression
+  # and no source path of the machine that built the binary.
+  if(want_rc EQUAL 1 AND step_stderr MATCHES "RON_CHECK|\\.(h|cpp):[0-9]")
+    message(FATAL_ERROR "'${tool} ${ARGN}' leaked build context into its "
+      "error:\n${step_stderr}")
   endif()
   if(want_usage AND NOT step_stderr MATCHES "usage:")
     message(FATAL_ERROR "'${tool} ${ARGN}' did not print usage:\n"

@@ -112,14 +112,19 @@ class Args {
 /// UsageError -> tool-prefixed message + usage on stderr, exit 2; any other
 /// std::exception (ron::Error from a runtime failure) -> tool-prefixed
 /// message, exit 1 — no usage dump, the command line itself was fine.
+/// A ron::Error prints its message() alone: the failed expression and the
+/// source location a RON_CHECK adds to what() mean nothing to a user.
 template <typename Run, typename Usage>
 int tool_main(const char* tool, Run&& run, Usage&& usage) {
   try {
     return run();
   } catch (const UsageError& e) {
-    std::cerr << tool << ": " << e.what() << "\n";
+    std::cerr << tool << ": " << e.message() << "\n";
     usage(std::cerr);
     return 2;
+  } catch (const Error& e) {
+    std::cerr << tool << ": " << e.message() << "\n";
+    return 1;
   } catch (const std::exception& e) {
     std::cerr << tool << ": " << e.what() << "\n";
     return 1;

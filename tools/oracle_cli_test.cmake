@@ -22,8 +22,30 @@ endfunction()
 
 run_step(${ORACLE_EXE} build --out ${snapshot}
   --scenario "metric=euclid,n=64,seed=5")
+# build reports the construction's label bits and the bits of the labels
+# the file stores, pruned to what some decode reads; info must print the
+# stored numbers, and pruning never adds bits.
+set(bits_re "bits max/avg = ([0-9]+)/([0-9.e+]+),")
+if(NOT step_stdout MATCHES "built labels: n = 64, ${bits_re}")
+  message(FATAL_ERROR "build did not report the built labels:\n${step_stdout}")
+endif()
+set(built_avg "${CMAKE_MATCH_2}")
+if(NOT step_stdout MATCHES "stored labels: n = 64, ${bits_re}")
+  message(FATAL_ERROR "build did not report the stored labels:\n${step_stdout}")
+endif()
+set(stored_bits "${CMAKE_MATCH_1}/${CMAKE_MATCH_2}")
+if(CMAKE_MATCH_2 GREATER built_avg)
+  message(FATAL_ERROR "stored labels average ${CMAKE_MATCH_2} bits, more "
+    "than the ${built_avg} built:\n${step_stdout}")
+endif()
 
 run_step(${ORACLE_EXE} info ${snapshot})
+string(FIND "${step_stdout}" "  labels: n = 64, bits max/avg = ${stored_bits},"
+  info_bits_at)
+if(info_bits_at EQUAL -1)
+  message(FATAL_ERROR
+    "info did not print the stored bits ${stored_bits}:\n${step_stdout}")
+endif()
 if(NOT step_stdout MATCHES "checksum .* \\(verified\\)")
   message(FATAL_ERROR "info did not report a verified checksum:\n${step_stdout}")
 endif()
@@ -33,12 +55,14 @@ endif()
 if(NOT step_stdout MATCHES "format version 3")
   message(FATAL_ERROR "build did not write format v3:\n${step_stdout}")
 endif()
-# The labels' translation maps travel as varint rows: this oracle took
-# 13,830,282 bytes as u32 triples (format v2) and takes about 2.4 MB now.
+# The labels' translation maps travel as varint rows, pruned to the entries
+# some decode reads: this oracle took 13,830,282 bytes as u32 triples
+# (format v2), 2,355,962 as the construction's varint rows, and about
+# 1.67 MB pruned, so a build that stops pruning fails here.
 file(SIZE ${snapshot} snapshot_bytes)
-if(snapshot_bytes GREATER_EQUAL 4000000)
+if(snapshot_bytes GREATER_EQUAL 2000000)
   message(FATAL_ERROR
-    "the euclid n=64 oracle takes ${snapshot_bytes} bytes, not under 4 MB")
+    "the euclid n=64 oracle takes ${snapshot_bytes} bytes, not under 2 MB")
 endif()
 
 # Space-separated pair list: semicolons are CMake list separators and would

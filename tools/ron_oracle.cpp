@@ -180,7 +180,9 @@ void write_metrics_out(const Args& args,
   RON_CHECK(os.good(), "failed writing --metrics-out '" << path << "'");
 }
 
-void print_label_stats(std::ostream& os, const DistanceLabeling& dls) {
+/// One line of label sizes: "  <what>: n = .., bits max/avg = ../..".
+void print_label_stats(std::ostream& os, const DistanceLabeling& dls,
+                       const char* what = "labels") {
   std::uint64_t max_bits = 0;
   double avg_bits = 0.0;
   for (NodeId u = 0; u < dls.n(); ++u) {
@@ -189,9 +191,9 @@ void print_label_stats(std::ostream& os, const DistanceLabeling& dls) {
     avg_bits += static_cast<double>(b);
   }
   avg_bits /= static_cast<double>(dls.n());
-  os << "  labels: n = " << dls.n() << ", bits max/avg = " << max_bits << "/"
-     << avg_bits << ", psi = " << dls.psi_bits() << " b, distance code = "
-     << dls.codec().bits() << " b\n";
+  os << "  " << what << ": n = " << dls.n() << ", bits max/avg = "
+     << max_bits << "/" << avg_bits << ", psi = " << dls.psi_bits()
+     << " b, distance code = " << dls.codec().bits() << " b\n";
 }
 
 void print_scenario_line(std::ostream& os, const ScenarioSpec& spec) {
@@ -281,7 +283,10 @@ int cmd_build(const Args& args) {
   if (kind == "oracle") {
     save_oracle(spec, builder.metric().name(), builder.labeling(), out);
     print_wrote(out);
-    print_label_stats(std::cout, builder.labeling());
+    // The file holds the labels pruned to what some decode reads: report
+    // both, the stored ones read back from the file as info reads them.
+    print_label_stats(std::cout, builder.labeling(), "built labels");
+    print_label_stats(std::cout, load_oracle(out).labeling, "stored labels");
   } else if (kind == "labeling") {
     save_labeling(builder.labeling(), out, spec);
     print_wrote(out);
